@@ -313,6 +313,43 @@ void BM_Table1SweepSharded(benchmark::State& state) {
 }
 BENCHMARK(BM_Table1SweepSharded)->Unit(benchmark::kMillisecond);
 
+// ---- Thread scaling of the whole Table 1 grid on the tree CD engine ----
+//
+// The Table 1 upper-bound grid (the no-CD likelihood and CD coded cells
+// at every entropy point) on the history-tree CD engine at 1, 2 and 4
+// worker threads: the tracked scaling curve of the sweep's (cell,
+// block) queue. The coded cells cost several times the no-CD ones per
+// trial, so the curve shows how evenly the queue spreads them. Each
+// run_sweep call builds its own tree cache, so the expansions are
+// inside the timing, as they are in a `crp_shard run`. Wall time
+// (UseRealTime): the work happens on the pool, not the timing thread.
+void BM_Table1TreeSweep(benchmark::State& state) {
+  constexpr std::size_t kScalingTrials = 200'000;
+  const auto points = table1_entropy_points(kNetwork);
+  const auto cells = table1_upper_bound_grid(points).cells();
+  crp::harness::SweepOptions options{
+      .trials = kScalingTrials,
+      .seed = kSeed,
+      .threads = static_cast<std::size_t>(state.range(0))};
+  options.cd_engine = crp::harness::CdEngine::kHistoryTree;
+  double checksum = 0.0;
+  for (auto _ : state) {
+    for (const auto& result : crp::harness::run_sweep(cells, options)) {
+      checksum += result.measurement.rounds.mean;
+    }
+    benchmark::DoNotOptimize(checksum);
+  }
+  state.counters["trials_per_s"] = benchmark::Counter(
+      static_cast<double>(kScalingTrials * cells.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_Table1TreeSweep)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4);
+
 // ---- google-benchmark microbenchmarks: per-round simulation cost ----
 
 void BM_NoCdRound(benchmark::State& state) {

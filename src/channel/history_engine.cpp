@@ -1,6 +1,7 @@
 #include "channel/history_engine.h"
 
 #include <algorithm>
+#include <future>
 #include <mutex>
 #include <random>
 #include <span>
@@ -40,41 +41,85 @@ std::size_t simulate_from(const CollisionPolicy& policy, std::size_t k,
 std::pair<std::shared_ptr<const harness::HistoryTree>,
           HistoryTreeEngine::Mode>
 HistoryTreeEngine::tree_for(std::size_t k, std::size_t max_rounds) const {
-  const std::size_t horizon = std::min(options_.depth_cap, max_rounds);
-  const auto key = std::make_pair(k, horizon);
-  std::shared_ptr<const harness::HistoryTree> tree;
-  {
-    std::shared_lock lock(mutex_);
-    const auto it = trees_.find(key);
-    if (it != trees_.end()) tree = it->second;
-  }
-  if (tree == nullptr) {
-    // Expand outside the lock so a large expansion never serializes
-    // cached reads or other keys' builds. Racing builders may expand
-    // the same key concurrently — the expansion is deterministic, so
-    // they produce identical trees and the first insert wins.
-    harness::HistoryTreeOptions expand;
-    expand.horizon = horizon;
-    expand.prune_below = options_.prune_below;
-    expand.threads = options_.expand_threads;
-    expand.max_nodes = options_.max_nodes;
-    auto built = std::make_shared<const harness::HistoryTree>(
-        harness::expand_history_tree(policy_, k, expand));
-    std::unique_lock lock(mutex_);
-    auto& slot = trees_[key];
-    if (slot == nullptr) slot = std::move(built);
-    tree = slot;
-  }
+  auto tree = fetch_tree(key_for(k, max_rounds), nullptr);
+  const Mode mode = mode_for(*tree, max_rounds);
+  return {std::move(tree), mode};
+}
 
-  if (tree->truncated) return {tree, Mode::kSimulate};
+HistoryTreeEngine::TreeKey HistoryTreeEngine::key_for(
+    std::size_t k, std::size_t max_rounds) const {
+  return {k, std::min(options_.depth_cap, max_rounds)};
+}
+
+HistoryTreeEngine::Mode HistoryTreeEngine::mode_for(
+    const harness::HistoryTree& tree, std::size_t max_rounds) const {
+  if (tree.truncated) return Mode::kSimulate;
   // Frontier mass is exactly "unsolved at the budget" when the budget
   // equals the expansion horizon; it only becomes unresolved when the
   // execution would continue past the cap.
   const double unresolved =
-      tree->pruned_mass + (max_rounds > horizon ? tree->frontier_mass : 0.0);
-  return {tree,
-          unresolved <= options_.resolve_epsilon ? Mode::kInverseCdf
-                                                 : Mode::kWalk};
+      tree.pruned_mass +
+      (max_rounds > tree.horizon ? tree.frontier_mass : 0.0);
+  return unresolved <= options_.resolve_epsilon ? Mode::kInverseCdf
+                                                : Mode::kWalk;
+}
+
+HistoryTreeEngine::TreePtr HistoryTreeEngine::fetch_tree(
+    TreeKey key, std::shared_future<TreePtr>* in_flight) const {
+  {
+    std::shared_lock lock(mutex_);
+    const auto it = trees_.find(key);
+    if (it != trees_.end()) return it->second;
+  }
+  std::promise<TreePtr> promise;
+  std::shared_future<TreePtr> pending;
+  {
+    std::unique_lock lock(mutex_);
+    const auto it = trees_.find(key);
+    if (it != trees_.end()) return it->second;
+    const auto building = building_.find(key);
+    if (building != building_.end()) {
+      pending = building->second;
+    } else {
+      building_.emplace(key, promise.get_future().share());
+    }
+  }
+  // Another caller is expanding this key: wait for its tree (or its
+  // exception) instead of expanding the same tree again — or hand the
+  // wait to the caller.
+  if (pending.valid()) {
+    if (in_flight == nullptr) return pending.get();
+    *in_flight = std::move(pending);
+    return nullptr;
+  }
+
+  // Expand outside the lock so a large expansion never serializes
+  // cached reads or other keys' builds. A failed build is not cached:
+  // its waiters get the exception and the next caller retries.
+  TreePtr built;
+  try {
+    harness::HistoryTreeOptions expand;
+    expand.horizon = key.second;
+    expand.prune_below = options_.prune_below;
+    expand.threads = options_.expand_threads;
+    expand.max_nodes = options_.max_nodes;
+    built = std::make_shared<const harness::HistoryTree>(
+        harness::expand_history_tree(policy_, key.first, expand));
+  } catch (...) {
+    {
+      std::unique_lock lock(mutex_);
+      building_.erase(key);
+    }
+    promise.set_exception(std::current_exception());
+    throw;
+  }
+  {
+    std::unique_lock lock(mutex_);
+    trees_.emplace(key, built);
+    building_.erase(key);
+  }
+  promise.set_value(built);
+  return built;
 }
 
 void HistoryTreeEngine::run_many(TrialBlock& block) const {
@@ -85,7 +130,7 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
 
   // One (tree, mode) fetch per distinct participant count per block —
   // the same snapshot discipline as the no-CD batch engine.
-  using Entry = std::pair<std::shared_ptr<const harness::HistoryTree>, Mode>;
+  using Entry = std::pair<TreePtr, Mode>;
   std::vector<Entry> slots;
   std::vector<std::size_t> slot_k;
   if (dist != nullptr) {
@@ -109,6 +154,7 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
   // columns would be pure overhead.
   std::vector<std::uint32_t> slot_of;
   std::vector<double> uk;
+  std::vector<std::uint8_t> needed(slots.size(), 0);
   if (dist != nullptr) {
     uk.resize(count);
     kops.pass1_uniform(block.seed, block.first_trial, count, uk.data());
@@ -116,13 +162,28 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
     for (std::size_t t = 0; t < count; ++t) {
       slot_of[t] = static_cast<std::uint32_t>(
           std::lower_bound(cum.begin(), cum.end(), uk[t]) - cum.begin());
-      Entry& entry = slots[slot_of[t]];
-      if (entry.first == nullptr) {
-        entry = tree_for(slot_k[slot_of[t]], block.max_rounds);
-      }
+      needed[slot_of[t]] = 1;
     }
   } else if (count > 0) {
-    slots[0] = tree_for(slot_k[0], block.max_rounds);
+    needed[0] = 1;
+  }
+  // Fetch the needed trees, expanding the missing ones. A tree another
+  // worker is already expanding is waited for only once every other
+  // missing tree has been expanded here, so workers that enter a cell
+  // together split its expansions instead of queueing behind one.
+  std::vector<std::pair<std::size_t, std::shared_future<TreePtr>>> waits;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    if (needed[s] == 0) continue;
+    std::shared_future<TreePtr> in_flight;
+    slots[s].first =
+        fetch_tree(key_for(slot_k[s], block.max_rounds), &in_flight);
+    if (slots[s].first == nullptr) waits.emplace_back(s, std::move(in_flight));
+  }
+  for (const auto& [s, in_flight] : waits) slots[s].first = in_flight.get();
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    if (needed[s] != 0) {
+      slots[s].second = mode_for(*slots[s].first, block.max_rounds);
+    }
   }
   bool any_cdf = false;
   for (const Entry& entry : slots) {

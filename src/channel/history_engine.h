@@ -36,8 +36,16 @@
 // Thread-safety: run_many is safe to call concurrently on disjoint
 // blocks; the per-(k, budget) tree cache is guarded by a shared mutex.
 // Expansion runs outside the lock (so it never serializes cached reads
-// or other keys' builds); racing builders of one key produce identical
-// trees — the expansion is deterministic — and the first insert wins.
+// or other keys' builds) and is single-flight per key: the first
+// caller expands, concurrent callers for the same key wait on its
+// result. Several workers can enter one CD cell at once (the sweep's
+// block queue sends idle workers to the cell with the most blocks
+// left; a one-cell sweep starts them all there); run_many expands the
+// missing trees its block needs before it waits on any another worker
+// is expanding, so those workers split the cell's expansions instead
+// of repeating or queueing behind them.
+// A build that throws is not cached — its waiters get the exception
+// and the next caller expands again.
 //
 // Determinism: trial t draws only from the SplitMix64 stream derived
 // from (block.seed, block.first_trial + t); the sampling mode is a
@@ -51,6 +59,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -120,12 +129,26 @@ class HistoryTreeEngine final : public Engine {
   const CollisionPolicy& policy_;
   Options options_;
 
+  using TreeKey = std::pair<std::size_t, std::size_t>;
+  using TreePtr = std::shared_ptr<const harness::HistoryTree>;
+
+  TreeKey key_for(std::size_t k, std::size_t max_rounds) const;
+  Mode mode_for(const harness::HistoryTree& tree,
+                std::size_t max_rounds) const;
+
+  /// The tree for `key`: cached, or expanded here, single-flight. When
+  /// another caller is already expanding it, waits for that result —
+  /// or, given `in_flight`, stores the pending result there and
+  /// returns null so the caller can expand other keys first.
+  TreePtr fetch_tree(TreeKey key,
+                     std::shared_future<TreePtr>* in_flight) const;
+
   mutable std::shared_mutex mutex_;
   /// Keyed by (k, expansion horizon); trees for budgets above the
   /// depth cap share one expansion.
-  mutable std::map<std::pair<std::size_t, std::size_t>,
-                   std::shared_ptr<const harness::HistoryTree>>
-      trees_;
+  mutable std::map<TreeKey, TreePtr> trees_;
+  /// Expansions in flight, erased when they finish or throw.
+  mutable std::map<TreeKey, std::shared_future<TreePtr>> building_;
 };
 
 /// Sweep-scoped engine cache: one shared HistoryTreeEngine per

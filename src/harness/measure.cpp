@@ -1,6 +1,8 @@
 #include "harness/measure.h"
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <stdexcept>
 
 #include "channel/engine.h"
@@ -21,47 +23,15 @@ MeasureOptions legacy_options(std::size_t max_rounds) {
                         .keep_samples = true};
 }
 
-/// Engine dispatch shared by the drawn-k and fixed-k no-CD helpers:
-/// every engine choice runs through the same block scheduler.
-Measurement measure_no_cd(const channel::ProbabilitySchedule& schedule,
-                          const channel::SizeSource& sizes,
-                          std::size_t trials, std::uint64_t seed,
-                          const MeasureOptions& options) {
-  switch (options.engine) {
-    case NoCdEngine::kBatch: {
-      const channel::BatchColumnarEngine engine(schedule);
-      return measure_blocks(engine, sizes, trials, seed, options);
-    }
-    case NoCdEngine::kPerPlayer: {
-      const channel::PerPlayerColumnarEngine engine(schedule);
-      return measure_blocks(engine, sizes, trials, seed, options);
-    }
-    case NoCdEngine::kBinomial:
-    default: {
-      const channel::BinomialColumnarEngine engine(schedule);
-      return measure_blocks(engine, sizes, trials, seed, options);
-    }
-  }
-}
-
-/// Engine dispatch for the CD helpers, mirroring measure_no_cd. A
-/// shared tree cache (when the caller provides one) replaces the
-/// per-call engine so expansions amortize across calls; the engine's
-/// results are a pure function of (policy, options), so both routes
-/// measure identically.
-Measurement measure_cd(const channel::CollisionPolicy& policy,
-                       const channel::SizeSource& sizes, std::size_t trials,
-                       std::uint64_t seed, const MeasureOptions& options) {
-  if (options.cd_engine == CdEngine::kHistoryTree) {
-    if (options.tree_cache != nullptr) {
-      const auto engine = options.tree_cache->engine_for(policy);
-      return measure_blocks(*engine, sizes, trials, seed, options);
-    }
-    const channel::HistoryTreeEngine engine(policy);
-    return measure_blocks(engine, sizes, trials, seed, options);
-  }
-  const channel::CollisionPolicyColumnarEngine engine(policy);
-  return measure_blocks(engine, sizes, trials, seed, options);
+/// The uniform helpers' shared body: the drawn-k and fixed-k, no-CD
+/// and CD entry points differ only in the engine and size source.
+Measurement measure_uniform(const channel::ProbabilitySchedule* schedule,
+                            const channel::CollisionPolicy* policy,
+                            const channel::SizeSource& sizes,
+                            std::size_t trials, std::uint64_t seed,
+                            const MeasureOptions& options) {
+  const auto engine = make_uniform_engine(schedule, policy, options);
+  return measure_blocks(*engine, sizes, trials, seed, options);
 }
 
 /// Columnar adapter for the Section 3 advice protocols: per trial, one
@@ -153,6 +123,181 @@ Measurement measurement_from_histogram(RoundHistogram histogram) {
   return result;
 }
 
+std::shared_ptr<const channel::Engine> make_uniform_engine(
+    const channel::ProbabilitySchedule* schedule,
+    const channel::CollisionPolicy* policy, const MeasureOptions& options) {
+  if (schedule != nullptr) {
+    switch (options.engine) {
+      case NoCdEngine::kBatch:
+        return std::make_shared<const channel::BatchColumnarEngine>(*schedule);
+      case NoCdEngine::kPerPlayer:
+        return std::make_shared<const channel::PerPlayerColumnarEngine>(
+            *schedule);
+      case NoCdEngine::kBinomial:
+      default:
+        return std::make_shared<const channel::BinomialColumnarEngine>(
+            *schedule);
+    }
+  }
+  if (policy == nullptr) {
+    throw std::invalid_argument(
+        "a uniform engine needs a schedule or a policy");
+  }
+  if (options.cd_engine == CdEngine::kHistoryTree) {
+    // A shared cache hands out one engine per policy, so expansions
+    // amortize across calls; the engine's results are a pure function
+    // of (policy, options), so both routes measure identically.
+    if (options.tree_cache != nullptr) {
+      return options.tree_cache->engine_for(*policy);
+    }
+    return std::make_shared<const channel::HistoryTreeEngine>(*policy);
+  }
+  return std::make_shared<const channel::CollisionPolicyColumnarEngine>(
+      *policy);
+}
+
+std::vector<Measurement> measure_block_queue(std::span<const BlockJob> jobs,
+                                             std::size_t threads,
+                                             bool measure_transmissions) {
+  // Job j's block b covers trials [b, b + 1) * kTrialBlockSize — the
+  // partition the job measured alone would use.
+  struct JobState {
+    std::size_t blocks = 0;
+    std::atomic<std::size_t> next_block{0};
+    std::atomic<std::size_t> blocks_left{0};
+    std::mutex mutex;  // guards engine, histogram, energy
+    std::shared_ptr<const channel::Engine> engine;
+    RoundHistogram histogram;
+    MomentAccumulator energy;
+  };
+  std::vector<JobState> job_states(jobs.size());
+  std::size_t blocks = 0;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const std::size_t trials = jobs[j].trials;
+    job_states[j].blocks = trials / kTrialBlockSize +
+                           (trials % kTrialBlockSize != 0 ? 1 : 0);
+    job_states[j].blocks_left = job_states[j].blocks;
+    blocks += job_states[j].blocks;
+  }
+
+  // A worker folds its consecutive blocks of one job into a private
+  // histogram and flushes it into the job's when it moves to another
+  // job (and once at the end): exact integer merges, so neither the
+  // flush order nor the block-to-worker assignment shows in the result.
+  constexpr std::size_t kNoJob = ~std::size_t{0};
+  struct WorkerState {
+    std::size_t job = kNoJob;
+    /// Borrowed from the job's state; used only on that job's blocks,
+    /// which all finish before the job releases its engine.
+    const channel::Engine* engine = nullptr;
+    std::vector<std::uint8_t> solved;
+    std::vector<std::uint64_t> rounds;
+    std::vector<std::uint64_t> transmissions;
+    RoundHistogram histogram;
+    MomentAccumulator energy;
+  };
+  std::vector<WorkerState> workers(
+      parallel_worker_count(blocks, threads, /*block_size=*/1));
+  const auto flush = [&](WorkerState& worker) {
+    if (worker.job == kNoJob) return;
+    JobState& state = job_states[worker.job];
+    {
+      const std::lock_guard<std::mutex> lock(state.mutex);
+      state.histogram.merge(worker.histogram);
+      state.energy.merge(worker.energy);
+    }
+    worker.histogram = RoundHistogram();
+    worker.energy = MomentAccumulator();
+  };
+
+  // Which (job, block) a worker runs next: the next block of its own
+  // job while that lasts, else the first job nobody has opened, else a
+  // share of the open job with the most blocks left. Workers thus keep
+  // to a job of their own (its tables and trees stay in one cache, and
+  // no two workers build them at once) until the jobs run out, then
+  // converge on the longest remainder. There are exactly as many
+  // claims as blocks, so every claim finds one.
+  std::atomic<std::size_t> next_job{0};
+  const auto claim = [&](std::size_t job) {
+    while (true) {
+      if (job != kNoJob) {
+        const std::size_t b = job_states[job].next_block.fetch_add(1);
+        if (b < job_states[job].blocks) return std::make_pair(job, b);
+      }
+      job = next_job.fetch_add(1);
+      if (job < jobs.size()) continue;
+      std::size_t most = 0;
+      job = kNoJob;
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const std::size_t claimed = job_states[j].next_block.load();
+        const std::size_t total = job_states[j].blocks;
+        const std::size_t left = claimed < total ? total - claimed : 0;
+        if (left > most) {
+          most = left;
+          job = j;
+        }
+      }
+    }
+  };
+
+  // One pool task per block; the task's index is only a ticket, the
+  // claim picks the block.
+  parallel_blocks_indexed(
+      blocks, threads,
+      [&](std::size_t id, std::size_t, std::size_t) {
+        WorkerState& worker = workers[id];
+        const auto [j, b] = claim(worker.job);
+        JobState& state = job_states[j];
+        if (j != worker.job) {
+          flush(worker);
+          worker.job = j;
+          // The first worker into a job builds its engine; the others
+          // wait for it here.
+          const std::lock_guard<std::mutex> lock(state.mutex);
+          if (state.engine == nullptr) state.engine = jobs[j].engine();
+          worker.engine = state.engine.get();
+        }
+        const BlockJob& job = jobs[j];
+        const std::size_t begin = b * kTrialBlockSize;
+        const std::size_t count = std::min(kTrialBlockSize, job.trials - begin);
+        worker.solved.resize(count);
+        worker.rounds.resize(count);
+        channel::TrialBlock block;
+        block.seed = job.seed;
+        block.first_trial = begin;
+        block.max_rounds = job.max_rounds;
+        block.sizes = job.sizes;
+        block.solved = std::span(worker.solved);
+        block.rounds = std::span(worker.rounds);
+        if (measure_transmissions) {
+          worker.transmissions.resize(count);
+          block.transmissions = std::span(worker.transmissions);
+        }
+        worker.engine->run_many(block);
+        worker.histogram.add_columns(block.solved, block.rounds);
+        if (measure_transmissions) {
+          worker.energy.add_column(block.transmissions);
+        }
+        // The job's last block releases its engine (and any tables it
+        // holds), so only the jobs in flight keep one alive.
+        if (state.blocks_left.fetch_sub(1) == 1) {
+          const std::lock_guard<std::mutex> lock(state.mutex);
+          state.engine.reset();
+        }
+      },
+      /*block_size=*/1);
+  for (WorkerState& worker : workers) flush(worker);
+
+  std::vector<Measurement> results;
+  results.reserve(jobs.size());
+  for (JobState& state : job_states) {
+    Measurement result = measurement_from_histogram(std::move(state.histogram));
+    if (measure_transmissions) result.transmissions = state.energy;
+    results.push_back(std::move(result));
+  }
+  return results;
+}
+
 Measurement measure_blocks(const channel::Engine& engine,
                            const channel::SizeSource& sizes,
                            std::size_t trials, std::uint64_t seed,
@@ -188,54 +333,26 @@ Measurement measure_blocks(const channel::Engine& engine,
     return result;
   }
 
-  // Streaming path: workers fold their blocks into private integer
-  // accumulators through fixed-size scratch columns; memory is
-  // O(workers * (block size + max observed round)) however many
-  // trials run. The merged result is bit-identical to the trial-order
-  // fold for count/min/max/mean/quantiles (harness/accumulate.h).
-  const std::size_t workers =
-      parallel_worker_count(trials, options.threads, kTrialBlockSize);
-  struct WorkerState {
-    std::vector<std::uint8_t> solved;
-    std::vector<std::uint64_t> rounds;
-    std::vector<std::uint64_t> transmissions;
-    RoundHistogram histogram;
-    MomentAccumulator energy;
-  };
-  std::vector<WorkerState> states(workers);
-  parallel_blocks_indexed(
-      trials, options.threads,
-      [&](std::size_t worker, std::size_t begin, std::size_t end) {
-        WorkerState& state = states[worker];
-        const std::size_t count = end - begin;
-        state.solved.resize(count);
-        state.rounds.resize(count);
-        channel::TrialBlock block;
-        block.seed = seed;
-        block.first_trial = begin;
-        block.max_rounds = options.max_rounds;
-        block.sizes = sizes;
-        block.solved = std::span(state.solved);
-        block.rounds = std::span(state.rounds);
-        if (options.measure_transmissions) {
-          state.transmissions.resize(count);
-          block.transmissions = std::span(state.transmissions);
-        }
-        engine.run_many(block);
-        state.histogram.add_columns(block.solved, block.rounds);
-        if (options.measure_transmissions) {
-          state.energy.add_column(block.transmissions);
-        }
-      });
-  RoundHistogram histogram;
-  MomentAccumulator energy;
-  for (const WorkerState& state : states) {
-    histogram.merge(state.histogram);
-    energy.merge(state.energy);
-  }
-  Measurement result = measurement_from_histogram(std::move(histogram));
-  if (options.measure_transmissions) result.transmissions = energy;
-  return result;
+  // Streaming path: the one-job case of the block queue. Workers fold
+  // their blocks into private integer accumulators through fixed-size
+  // scratch columns; memory is O(workers * (block size + max observed
+  // round)) however many trials run. The merged result is bit-identical
+  // to the trial-order fold for count/min/max/mean/quantiles
+  // (harness/accumulate.h).
+  const BlockJob job{
+      // Non-owning: the caller's engine outlives the call.
+      .engine =
+          [&engine] {
+            return std::shared_ptr<const channel::Engine>(
+                std::shared_ptr<const channel::Engine>(), &engine);
+          },
+      .sizes = sizes,
+      .trials = trials,
+      .seed = seed,
+      .max_rounds = options.max_rounds};
+  return std::move(measure_block_queue(std::span(&job, 1), options.threads,
+                                       options.measure_transmissions)
+                       .front());
 }
 
 double Measurement::solved_within(double budget) const {
@@ -288,8 +405,8 @@ Measurement measure_uniform_no_cd(const channel::ProbabilitySchedule& schedule,
                                   const info::SizeDistribution& actual,
                                   std::size_t trials, std::uint64_t seed,
                                   const MeasureOptions& options) {
-  return measure_no_cd(schedule, channel::SizeSource{&actual, 0}, trials,
-                       seed, options);
+  return measure_uniform(&schedule, nullptr, channel::SizeSource{&actual, 0},
+                         trials, seed, options);
 }
 
 Measurement measure_uniform_cd(const channel::CollisionPolicy& policy,
@@ -304,8 +421,8 @@ Measurement measure_uniform_cd(const channel::CollisionPolicy& policy,
                                const info::SizeDistribution& actual,
                                std::size_t trials, std::uint64_t seed,
                                const MeasureOptions& options) {
-  return measure_cd(policy, channel::SizeSource{&actual, 0}, trials, seed,
-                    options);
+  return measure_uniform(nullptr, &policy, channel::SizeSource{&actual, 0},
+                         trials, seed, options);
 }
 
 Measurement measure_uniform_no_cd_fixed_k(
@@ -318,8 +435,8 @@ Measurement measure_uniform_no_cd_fixed_k(
 Measurement measure_uniform_no_cd_fixed_k(
     const channel::ProbabilitySchedule& schedule, std::size_t k,
     std::size_t trials, std::uint64_t seed, const MeasureOptions& options) {
-  return measure_no_cd(schedule, channel::SizeSource{nullptr, k}, trials,
-                       seed, options);
+  return measure_uniform(&schedule, nullptr, channel::SizeSource{nullptr, k},
+                         trials, seed, options);
 }
 
 Measurement measure_uniform_cd_fixed_k(const channel::CollisionPolicy& policy,
@@ -334,8 +451,8 @@ Measurement measure_uniform_cd_fixed_k(const channel::CollisionPolicy& policy,
                                        std::size_t k, std::size_t trials,
                                        std::uint64_t seed,
                                        const MeasureOptions& options) {
-  return measure_cd(policy, channel::SizeSource{nullptr, k}, trials, seed,
-                    options);
+  return measure_uniform(nullptr, &policy, channel::SizeSource{nullptr, k},
+                         trials, seed, options);
 }
 
 std::vector<std::size_t> random_participant_set(std::size_t n, std::size_t k,

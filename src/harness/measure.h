@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <random>
 #include <span>
 #include <vector>
@@ -148,11 +149,55 @@ struct MeasureOptions {
 /// columns in place; the fold visits trials in order, so the
 /// Measurement is bit-identical at every thread count. This is the
 /// execution core under every measure_* helper; call it directly to
-/// drive a custom channel::Engine.
+/// drive a custom channel::Engine. The streaming fold (the default) is
+/// the one-job case of measure_block_queue.
 Measurement measure_blocks(const channel::Engine& engine,
                            const channel::SizeSource& sizes,
                            std::size_t trials, std::uint64_t seed,
                            const MeasureOptions& options);
+
+/// One measurement in a block queue: how to build its engine, and the
+/// trials to run on it.
+struct BlockJob {
+  /// Builds the job's engine. Called once, by the worker that claims
+  /// the job's first block (workers arriving meanwhile wait for it);
+  /// the queue drops its reference after the job's last block.
+  std::function<std::shared_ptr<const channel::Engine>()> engine;
+  channel::SizeSource sizes;
+  std::size_t trials = 0;
+  std::uint64_t seed = 0;
+  std::size_t max_rounds = 1 << 20;
+};
+
+/// Streams several measurements through one pool as (job, block)
+/// tasks: every job's trials are cut by the fixed kTrialBlockSize
+/// partition, and each worker drains the blocks of a job of its own,
+/// opening jobs in order; once every job is open, a worker whose job
+/// ran out joins the open job with the most blocks left. So workers
+/// keep to separate jobs while there are jobs to go round (each job's
+/// tables and trees are built and used by one worker), and none idles
+/// while another finishes a long job. Each worker folds into one
+/// running histogram and flushes it into the job's when it changes job
+/// (exact integer merges), so memory is O(jobs + workers) histograms
+/// and only the jobs in flight hold an engine. Results come back in
+/// job order, each bit-identical to the streaming measure_blocks of
+/// that job alone at any thread count. `threads` as
+/// MeasureOptions::threads; `measure_transmissions` as
+/// MeasureOptions::measure_transmissions, for every job. The first
+/// exception a block or engine factory throws is rethrown after the
+/// pool drains, and no further blocks start once it is thrown.
+std::vector<Measurement> measure_block_queue(
+    std::span<const BlockJob> jobs, std::size_t threads,
+    bool measure_transmissions = false);
+
+/// The engine the uniform measure_* helpers run an algorithm on —
+/// exactly one of `schedule` (no-CD, options.engine) or `policy` (CD,
+/// options.cd_engine, options.tree_cache) is consulted, the schedule
+/// first; throws std::invalid_argument when both are null. The sweep
+/// scheduler builds its cells' engines through this too.
+std::shared_ptr<const channel::Engine> make_uniform_engine(
+    const channel::ProbabilitySchedule* schedule,
+    const channel::CollisionPolicy* policy, const MeasureOptions& options);
 
 /// Uniform no-CD algorithm vs. sizes drawn from `actual`.
 Measurement measure_uniform_no_cd(const channel::ProbabilitySchedule& schedule,

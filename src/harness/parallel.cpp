@@ -51,19 +51,24 @@ void parallel_blocks_indexed(
 
   // Workers claim one block per pass over the atomic counter; the
   // block is the load-balancing granule, so the counter stays off the
-  // per-trial hot path.
+  // per-trial hot path. Once any block has thrown, no worker claims
+  // another: the remaining blocks could only be discarded, and on a
+  // long range (a whole sweep's blocks) running them would delay the
+  // error by the rest of the run.
   std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
   std::exception_ptr error;
   std::mutex error_mutex;
 
   const auto worker = [&](std::size_t id) {
-    while (true) {
+    while (!failed.load()) {
       const std::size_t b = next.fetch_add(1);
       if (b >= blocks) return;
       const std::size_t begin = b * block_size;
       try {
         fn(id, begin, std::min(total, begin + block_size));
       } catch (...) {
+        failed.store(true);
         const std::lock_guard<std::mutex> lock(error_mutex);
         if (!error) error = std::current_exception();
         return;

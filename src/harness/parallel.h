@@ -18,7 +18,8 @@
 ///
 /// Thread-safety: fn is invoked concurrently on distinct blocks and
 /// must be safe under that; the first exception thrown is rethrown on
-/// the caller's thread after the pool drains.
+/// the caller's thread after the pool drains, and once a block has
+/// thrown no worker claims another (blocks already running finish).
 ///
 /// Determinism: the block partition depends only on (total,
 /// block_size) — never on the thread count or on which worker claims
@@ -46,7 +47,8 @@ inline constexpr std::size_t kTrialBlockSize = 1024;
 /// threads; <= 1 runs inline on the calling thread, in block order).
 /// Workers claim whole blocks, so fn must be safe to call concurrently
 /// on distinct blocks. The first exception thrown is rethrown on the
-/// caller's thread after the pool drains.
+/// caller's thread after the pool drains; after it, workers stop
+/// claiming blocks, so the rest of the range never runs.
 void parallel_blocks(std::size_t total, std::size_t threads,
                      const std::function<void(std::size_t, std::size_t)>& fn,
                      std::size_t block_size = kTrialBlockSize);

@@ -6,20 +6,26 @@
 // This is the execution layer the paper's Table 1/2 and divergence
 // sweeps run on: each bench declares its grid, run_sweep() schedules
 // the cells, and the results feed harness/table.h rows or
-// harness/csv.h exports directly. Cells fold through the streaming
-// accumulator layer (harness/accumulate.h): per-cell memory is flat
-// in the trial count, and CD cells running the history-tree engine
-// share one expansion cache across the whole sweep.
+// harness/csv.h exports directly. The whole grid runs as one queue of
+// (cell, block) tasks (measure_block_queue in harness/measure.h):
+// every cell is cut into its fixed 1024-trial blocks; each worker
+// drains a cell of its own, opening cells in grid order, and workers
+// left without a cell join the one with the most blocks to go — so no
+// worker idles while another finishes an expensive cell, whether the
+// grid has one cell or hundreds. Cells fold through
+// the streaming accumulator layer (harness/accumulate.h): per-cell
+// memory is flat in the trial count, only the cells in flight hold an
+// engine, and CD cells running the history-tree engine share one
+// expansion cache across the whole sweep.
 //
 /// Ownership: SweepAlgorithm/SweepSizes borrow their schedules,
 /// policies, and distributions — the referenced objects must outlive
 /// run_sweep(); SweepResults own their Measurements outright.
 ///
-/// Thread-safety: run_sweep() is the synchronization boundary — wide
-/// grids hand whole cells to the pool, narrow grids parallelize
-/// inside each measurement, and the algorithms under test are only
-/// required to be const-callable concurrently (every schedule/policy
-/// in the library is).
+/// Thread-safety: run_sweep() is the synchronization boundary — the
+/// pool's workers may run blocks of the same cell at once, so the
+/// algorithms under test are required to be const-callable
+/// concurrently (every schedule/policy in the library is).
 ///
 /// Determinism: every cell measures under its own seed, derived from
 /// (options.seed, the cell's seed stream) with the same splitmix
@@ -129,12 +135,12 @@ struct SweepOptions {
   /// Engine for the uniform CD cells (no-CD cells ignore it).
   CdEngine cd_engine = CdEngine::kSimulate;
   /// Optional caller-owned history-tree cache for the CD cells; null =
-  /// run_sweep builds its own per call. The checkpoint runner
-  /// (harness/checkpoint.h) executes cells one run_sweep call at a
-  /// time and threads one cache through them, so cells sharing a CD
-  /// policy still expand each (policy, k, horizon) tree once. Purely
-  /// an amortization: the expansion is deterministic, results are
-  /// bit-identical with or without sharing.
+  /// run_sweep builds its own per call, shared by every cell of that
+  /// call. The checkpoint runner (harness/checkpoint.h) executes cells
+  /// one run_sweep call at a time and threads one cache through them,
+  /// so cells sharing a CD policy still expand each (policy, k,
+  /// horizon) tree once. Purely an amortization: the expansion is
+  /// deterministic, results are bit-identical with or without sharing.
   const channel::HistoryTreeCache* tree_cache = nullptr;
 };
 
@@ -146,10 +152,14 @@ struct SweepResult {
   Measurement measurement;
 };
 
-/// Executes every cell and returns results in cell order. Grids with
-/// at least as many cells as workers hand whole cells to the pool;
-/// smaller grids run cells in order and parallelize inside each
-/// measurement — the results are identical either way.
+/// Executes every cell and returns results in cell order. The cells'
+/// 1024-trial blocks form one queue that `options.threads` workers
+/// drain (measure_block_queue); a cell's engine is built when its
+/// first block is claimed and dropped after its last. Results are identical
+/// at every thread count. Throws std::invalid_argument, before running
+/// anything, when a cell names neither a schedule nor a policy; the
+/// first exception a cell throws while running reaches the caller, and
+/// no further blocks start once it is thrown.
 std::vector<SweepResult> run_sweep(std::span<const SweepCell> cells,
                                    const SweepOptions& options = {});
 std::vector<SweepResult> run_sweep(const SweepGrid& grid,

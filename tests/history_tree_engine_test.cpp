@@ -9,7 +9,12 @@
 //    node-cap simulation fallback must stay deterministic;
 //  * golden fixed-seed statistics pin the engine's streams so draw-
 //    order changes are caught deliberately.
+#include <atomic>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -293,6 +298,109 @@ TEST(HistoryTreeEngine, SharedTreeCacheMeasuresIdentically) {
       results[1].measurement,
       measure_uniform_cd_fixed_k(willard, 2500, 2000,
                                  channel::derive_stream_seed(43, 1), direct));
+}
+
+/// Wraps a policy and counts its probability queries; optionally
+/// throws from every query instead.
+class CountingPolicy final : public channel::CollisionPolicy {
+ public:
+  explicit CountingPolicy(const channel::CollisionPolicy& inner)
+      : inner_(inner) {}
+  double probability(const channel::BitString& history) const override {
+    calls_.fetch_add(1);
+    if (fail_.load()) throw std::runtime_error("policy failure");
+    return inner_.probability(history);
+  }
+  std::string name() const override { return "counting"; }
+
+  std::size_t calls() const { return calls_.load(); }
+  void set_failing(bool fail) { fail_.store(fail); }
+
+ private:
+  const channel::CollisionPolicy& inner_;
+  mutable std::atomic<std::size_t> calls_{0};
+  std::atomic<bool> fail_{false};
+};
+
+/// Calls engine.tree_for(k, budget) from `threads` threads released
+/// together; returns the number of calls that threw.
+std::size_t tree_for_concurrently(const HistoryTreeEngine& engine,
+                                  std::size_t k, std::size_t budget,
+                                  std::size_t threads) {
+  std::atomic<bool> go{false};
+  std::atomic<std::size_t> threw{0};
+  std::vector<std::thread> pool;
+  for (std::size_t i = 0; i < threads; ++i) {
+    pool.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      try {
+        (void)engine.tree_for(k, budget);
+      } catch (const std::runtime_error&) {
+        threw.fetch_add(1);
+      }
+    });
+  }
+  go.store(true);
+  for (auto& thread : pool) thread.join();
+  return threw.load();
+}
+
+TEST(HistoryTreeEngine, ConcurrentCallersShareOneExpansion) {
+  // Eight callers of one key at once must expand its tree once: the
+  // first builds, the rest wait on the build in flight.
+  const baselines::WillardPolicy willard(1 << 16);
+  const CountingPolicy alone(willard);
+  (void)HistoryTreeEngine(alone).tree_for(60, 1 << 12);
+  const std::size_t one_expansion = alone.calls();
+  ASSERT_GT(one_expansion, 0u);
+
+  const CountingPolicy counted(willard);
+  const HistoryTreeEngine engine(counted);
+  EXPECT_EQ(tree_for_concurrently(engine, 60, 1 << 12, 8), 0u);
+  EXPECT_EQ(counted.calls(), one_expansion);
+  const auto first = engine.tree_for(60, 1 << 12).first;
+  const auto again = engine.tree_for(60, 1 << 12).first;
+  EXPECT_EQ(first.get(), again.get());
+  EXPECT_EQ(counted.calls(), one_expansion);
+
+  // The same through run_many: blocks on eight workers, each needing
+  // every size's tree at once, query the policy exactly as often as one
+  // worker does — every tree expanded once, the samples unchanged.
+  const auto sizes = table1_sizes(1 << 12);
+  const channel::SizeSource drawn{&sizes, 0};
+  MeasureOptions serial{.max_rounds = 1 << 12, .threads = 1};
+  MeasureOptions pooled = serial;
+  pooled.threads = 8;
+  const CountingPolicy serial_count(willard);
+  const CountingPolicy pooled_count(willard);
+  const auto expected = measure_blocks(HistoryTreeEngine(serial_count), drawn,
+                                       8 * kTrialBlockSize, 37, serial);
+  const auto measured = measure_blocks(HistoryTreeEngine(pooled_count), drawn,
+                                       8 * kTrialBlockSize, 37, pooled);
+  expect_identical(expected, measured);
+  EXPECT_EQ(pooled_count.calls(), serial_count.calls());
+}
+
+TEST(HistoryTreeEngine, FailedExpansionIsRetriedNotCached) {
+  // A build that throws reaches every caller waiting on it, and is not
+  // cached: once the policy recovers, the next caller expands afresh.
+  const baselines::WillardPolicy willard(1 << 16);
+  const CountingPolicy alone(willard);
+  (void)HistoryTreeEngine(alone).tree_for(60, 1 << 12);
+  const std::size_t one_expansion = alone.calls();
+
+  CountingPolicy flaky(willard);
+  const HistoryTreeEngine engine(flaky);
+  flaky.set_failing(true);
+  EXPECT_EQ(tree_for_concurrently(engine, 60, 1 << 12, 8), 8u);
+  EXPECT_THROW((void)engine.tree_for(60, 1 << 12), std::runtime_error);
+
+  flaky.set_failing(false);
+  const std::size_t before = flaky.calls();
+  const auto [tree, mode] = engine.tree_for(60, 1 << 12);
+  ASSERT_NE(tree, nullptr);
+  EXPECT_EQ(flaky.calls() - before, one_expansion);
+  EXPECT_EQ(engine.tree_for(60, 1 << 12).first.get(), tree.get());
 }
 
 // ---- golden fixed-seed statistics --------------------------------

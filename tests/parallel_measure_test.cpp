@@ -2,7 +2,12 @@
 // reproduce the serial measure() bit for bit at every thread count,
 // for synthetic trials and for real workloads (including the batch
 // engine, whose lazily built tables are shared across workers).
+#include <atomic>
+#include <chrono>
+#include <iterator>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -76,6 +81,50 @@ TEST(MeasureParallel, MeasureHelpersMatchSerialHelpers) {
   }
 }
 
+TEST(MeasureParallel, BlockQueueMatchesEachJobAlone) {
+  // Jobs of uneven sizes (none, one trial, one block plus one trial,
+  // several blocks) drained by one pool, energy column on: each job's
+  // result is measure_blocks of that job alone, at every thread count,
+  // and each job with trials builds its engine exactly once.
+  const baselines::DecaySchedule decay(1 << 10);
+  const auto sizes = info::SizeDistribution::uniform(1 << 10);
+  const MeasureOptions options{.max_rounds = 1 << 12,
+                               .threads = 1,
+                               .engine = NoCdEngine::kBinomial,
+                               .measure_transmissions = true};
+  const auto engine = make_uniform_engine(&decay, nullptr, options);
+  const std::size_t trial_counts[] = {0, 1, 1025, 3000};
+  std::atomic<std::size_t> builds[std::size(trial_counts)] = {};
+  std::vector<BlockJob> jobs;
+  for (std::size_t j = 0; j < std::size(trial_counts); ++j) {
+    jobs.push_back({.engine =
+                        [&engine, &built = builds[j]] {
+                          built.fetch_add(1);
+                          return engine;
+                        },
+                    .sizes = {&sizes, 0},
+                    .trials = trial_counts[j],
+                    .seed = 100 + j,
+                    .max_rounds = options.max_rounds});
+  }
+  for (const std::size_t threads : {1ul, 3ul, 8ul}) {
+    for (auto& built : builds) built = 0;
+    const auto queued = measure_block_queue(jobs, threads, true);
+    ASSERT_EQ(queued.size(), jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const auto alone = measure_blocks(*engine, jobs[j].sizes, jobs[j].trials,
+                                        jobs[j].seed, options);
+      expect_identical(alone, queued[j]);
+      EXPECT_TRUE(alone.histogram == queued[j].histogram);
+      EXPECT_EQ(alone.transmissions.count(), queued[j].transmissions.count());
+      EXPECT_EQ(alone.transmissions.mean(), queued[j].transmissions.mean());
+      EXPECT_EQ(alone.transmissions.max(), queued[j].transmissions.max());
+      EXPECT_EQ(builds[j].load(), jobs[j].trials == 0 ? 0u : 1u)
+          << "job " << j << " at threads=" << threads;
+    }
+  }
+}
+
 TEST(MeasureParallel, DeterministicAdviceMatchesLegacySerialPath) {
   constexpr std::size_t n = 1 << 8;
   constexpr std::size_t b = 3;
@@ -111,6 +160,25 @@ TEST(MeasureParallel, PropagatesTrialExceptions) {
     return channel::RunResult{true, 1, std::nullopt};
   };
   EXPECT_THROW(measure_parallel(trial, 3000, 1, 4), std::runtime_error);
+}
+
+TEST(MeasureParallel, StopsClaimingBlocksAfterAnException) {
+  // Once block 0 has thrown, workers must stop claiming blocks rather
+  // than run out the range: the error surfaces after at most the
+  // blocks already in flight (plus the odd one claimed while the throw
+  // unwinds), not after all 10,000.
+  constexpr std::size_t kThreads = 4;
+  std::atomic<std::size_t> ran{0};
+  EXPECT_THROW(parallel_blocks(
+                   10'000, kThreads,
+                   [&ran](std::size_t begin, std::size_t) {
+                     ran.fetch_add(1);
+                     if (begin == 0) throw std::runtime_error("block 0");
+                     std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                   },
+                   /*block_size=*/1),
+               std::runtime_error);
+  EXPECT_LE(ran.load(), 10 * kThreads);
 }
 
 }  // namespace

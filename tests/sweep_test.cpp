@@ -4,6 +4,10 @@
 // direct measure_* calls; and the table/CSV renderers emit one row per
 // cell.
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -36,7 +40,8 @@ struct Fixture {
       : decay(1 << 10),
         slow_decay(1 << 6),
         willard(1 << 10),
-        uniform(info::SizeDistribution::uniform(1 << 10)) {}
+        uniform(info::SizeDistribution::uniform(1 << 10)),
+        spread(info::SizeDistribution::from_pairs(1 << 10, kSpreadPairs)) {}
 
   SweepGrid grid() const {
     SweepGrid grid;
@@ -53,6 +58,12 @@ struct Fixture {
   baselines::DecaySchedule slow_decay;
   baselines::WillardPolicy willard;
   info::SizeDistribution uniform;
+  /// Eight sizes: few enough history trees for a CD cell on the tree
+  /// engine to expand quickly, many enough to mix modes in a block.
+  static constexpr std::pair<std::size_t, double> kSpreadPairs[] = {
+      {2, 0.1},    {5, 0.2},    {17, 0.1},  {60, 0.2},
+      {100, 0.1},  {300, 0.1},  {700, 0.1}, {1024, 0.1}};
+  info::SizeDistribution spread;
 };
 
 TEST(Sweep, GridCrossProductShape) {
@@ -79,22 +90,128 @@ TEST(Sweep, ExplicitCellsPrecedeCrossProduct) {
   EXPECT_EQ(cells[1].algorithm.name, "decay");
 }
 
+std::string sweep_csv(std::span<const SweepResult> results) {
+  std::ostringstream csv;
+  write_sweep_csv(csv, results);
+  return csv.str();
+}
+
+/// Scheduler edge cases for the (cell, block) queue: coded cells on the
+/// history-tree engine, per-cell trial overrides over a 0-trial default,
+/// and trial counts of 0, 1 and 1025 (one block plus one trial, so a
+/// cell's last block holds a single trial).
+std::vector<SweepCell> edge_cells(const Fixture& f) {
+  const SweepSizes uniform{.name = "uniform", .distribution = &f.uniform};
+  const SweepSizes spread{.name = "spread", .distribution = &f.spread};
+  const SweepSizes k100{.name = "k=100", .fixed_k = 100};
+  const SweepAlgorithm decay{.name = "decay", .schedule = &f.decay};
+  const SweepAlgorithm slow{.name = "slow-decay", .schedule = &f.slow_decay};
+  const SweepAlgorithm willard{.name = "willard", .policy = &f.willard};
+  return {
+      {.algorithm = willard, .sizes = spread, .max_rounds = 1 << 12,
+       .trials = 3000},
+      {.algorithm = decay, .sizes = k100, .max_rounds = 1 << 12},
+      {.algorithm = willard, .sizes = k100, .max_rounds = 1 << 12,
+       .trials = 1},
+      {.algorithm = slow, .sizes = uniform, .max_rounds = 1 << 12,
+       .trials = 1025},
+      {.algorithm = willard, .sizes = k100, .max_rounds = 1 << 12,
+       .trials = 1025},
+      {.algorithm = decay, .sizes = uniform, .max_rounds = 1 << 12,
+       .trials = 2500},
+  };
+}
+
+// CSV bytes of the two sweeps below. How the scheduler spreads blocks
+// over workers must never show in the output, so these stay fixed
+// whatever it does.
+constexpr const char* kGoldenGridCsv =
+    R"csv(algorithm,sizes,budget,trials,cell_seed,mean,ci95,p50,p90,p99,success_rate
+decay,uniform,4096,600,15517599431202433770,14.0550,0.7458,10.0,28.1,44.1,1.0000
+decay,k=100,4096,600,13606743526313246680,10.5533,0.5375,8.0,19.0,31.0,1.0000
+slow-decay,uniform,4096,600,9312843868474496213,549.5329,97.7863,98.0,1988.0,3836.5,0.5567
+slow-decay,k=100,4096,600,9971732663584954733,16.8483,1.0899,14.0,35.0,69.0,1.0000
+willard,uniform,4096,600,11004934251761650609,5.4367,0.3512,4.0,11.0,21.0,1.0000
+willard,k=100,4096,600,6048660068791662337,4.3000,0.2672,3.0,9.0,17.0,1.0000
+)csv";
+constexpr const char* kGoldenEdgeCsv =
+    R"csv(algorithm,sizes,budget,trials,cell_seed,mean,ci95,p50,p90,p99,success_rate
+willard,spread,4096,3000,15517599431202433770,4.5890,0.1406,3.0,10.0,19.0,1.0000
+decay,k=100,4096,0,13606743526313246680,0.0000,0.0000,0.0,0.0,0.0,0.0000
+willard,k=100,4096,1,9312843868474496213,2.0000,0.0000,2.0,2.0,2.0,1.0000
+slow-decay,uniform,4096,1025,9971732663584954733,545.3939,74.8450,84.0,1960.0,3717.0,0.5473
+willard,k=100,4096,1025,11004934251761650609,4.2712,0.2080,3.0,9.0,16.8,1.0000
+decay,uniform,4096,2500,6048660068791662337,14.2240,0.3791,10.0,22.0,53.0,1.0000
+)csv";
+
 TEST(Sweep, DeterministicAcrossThreadCounts) {
-  // Same grid, same master seed, every threading regime — including
-  // threads > cells (inner parallelism) and 1 < threads <= cells
-  // (whole cells on the pool) — must produce identical measurements.
+  // Same grid, same master seed, every thread count — one worker, fewer
+  // workers than cells, as many, and more workers than the grid has
+  // blocks — must produce identical measurements and CSV bytes.
   const Fixture f;
-  const auto cells = f.grid().cells();
-  const auto reference =
-      run_sweep(cells, {.trials = 600, .seed = 31, .threads = 1});
-  ASSERT_EQ(reference.size(), cells.size());
-  for (const std::size_t threads : {2ul, 3ul, 16ul}) {
-    const auto pooled =
-        run_sweep(cells, {.trials = 600, .seed = 31, .threads = threads});
-    ASSERT_EQ(pooled.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      expect_identical(reference[i].measurement, pooled[i].measurement);
-      EXPECT_EQ(reference[i].cell_seed, pooled[i].cell_seed);
+  struct Case {
+    std::vector<SweepCell> cells;
+    SweepOptions options;
+    const char* golden;
+  };
+  SweepOptions tree{.trials = 0, .seed = 31};
+  tree.cd_engine = CdEngine::kHistoryTree;
+  const std::vector<Case> cases{
+      {f.grid().cells(), {.trials = 600, .seed = 31}, kGoldenGridCsv},
+      {edge_cells(f), tree, kGoldenEdgeCsv},
+  };
+  for (const Case& c : cases) {
+    SweepOptions serial = c.options;
+    serial.threads = 1;
+    const auto reference = run_sweep(c.cells, serial);
+    ASSERT_EQ(reference.size(), c.cells.size());
+    EXPECT_EQ(sweep_csv(reference), c.golden);
+    for (const std::size_t threads : {2ul, 3ul, 4ul, 16ul}) {
+      SweepOptions pooled_options = c.options;
+      pooled_options.threads = threads;
+      const auto pooled = run_sweep(c.cells, pooled_options);
+      ASSERT_EQ(pooled.size(), reference.size());
+      EXPECT_EQ(sweep_csv(pooled), sweep_csv(reference))
+          << "threads=" << threads;
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        expect_identical(reference[i].measurement, pooled[i].measurement);
+        EXPECT_EQ(reference[i].cell_seed, pooled[i].cell_seed);
+      }
+    }
+  }
+}
+
+/// A CD policy whose every probability query throws.
+class ThrowingPolicy final : public channel::CollisionPolicy {
+ public:
+  double probability(const channel::BitString&) const override {
+    throw std::runtime_error("policy failure");
+  }
+  std::string name() const override { return "throwing"; }
+};
+
+TEST(Sweep, MiddleCellExceptionReachesCaller) {
+  // A cell that throws mid-sweep surfaces on the caller's thread, on
+  // both CD engines (the tree engine throws from its expansion) and at
+  // every thread count.
+  const Fixture f;
+  const ThrowingPolicy throwing;
+  SweepGrid grid;
+  grid.add_cell({.algorithm = {.name = "decay", .schedule = &f.decay},
+                 .sizes = {.fixed_k = 100},
+                 .max_rounds = 1 << 12})
+      .add_cell({.algorithm = {.name = "throwing", .policy = &throwing},
+                 .sizes = {.fixed_k = 100},
+                 .max_rounds = 1 << 12})
+      .add_cell({.algorithm = {.name = "willard", .policy = &f.willard},
+                 .sizes = {.distribution = &f.uniform},
+                 .max_rounds = 1 << 12});
+  for (const CdEngine engine : {CdEngine::kSimulate, CdEngine::kHistoryTree}) {
+    for (const std::size_t threads : {1ul, 4ul}) {
+      SweepOptions options{.trials = 5000, .seed = 3, .threads = threads};
+      options.cd_engine = engine;
+      EXPECT_THROW(run_sweep(grid, options), std::runtime_error)
+          << "threads=" << threads;
     }
   }
 }
