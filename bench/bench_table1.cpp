@@ -15,7 +15,9 @@
 // Absolute constants are simulator-specific; the reproduced claim is
 // the growth law in H and the ordering of the cells.
 #include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -23,12 +25,15 @@
 
 #include "baselines/decay.h"
 #include "baselines/willard.h"
+#include "channel/engine.h"
+#include "channel/history_engine.h"
 #include "channel/rng.h"
 #include "core/coded_search.h"
 #include "core/likelihood_schedule.h"
 #include "harness/fit.h"
 #include "harness/grids.h"
 #include "harness/measure.h"
+#include "harness/parallel.h"
 #include "harness/shard.h"
 #include "harness/sweep.h"
 #include "harness/table.h"
@@ -349,6 +354,44 @@ BENCHMARK(BM_Table1TreeSweep)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4);
+
+// ---- The coded-search walk, warm ----
+//
+// One layer below BM_Table1TreeSweep: HistoryTreeEngine::run_many on
+// Table 1's H = 4 coded cell (the last entropy point) at n = 2^20,
+// block after block of kTrialBlockSize trials with every tree already
+// expanded — the per-trial cost of the walk-mode sampling the coded
+// cells of a table1 run spend their time in (every tree's pruned mass
+// is above resolve_epsilon, so no key samples by inverse CDF).
+void BM_Table1CodedWalk(benchmark::State& state) {
+  const auto points = table1_entropy_points(1 << 20);
+  const auto& point = points.back();
+  const crp::channel::HistoryTreeEngine engine(point.policy);
+  constexpr std::size_t kBlock = crp::harness::kTrialBlockSize;
+  std::vector<std::uint8_t> solved(kBlock);
+  std::vector<std::uint64_t> rounds(kBlock);
+  crp::channel::TrialBlock block{.seed = kSeed,
+                                 .max_rounds = 1 << 14,
+                                 .sizes = {.distribution = &point.actual},
+                                 .solved = solved,
+                                 .rounds = rounds};
+  // Warm-up: expand every tree the first blocks draw.
+  for (int i = 0; i < 8; ++i) {
+    engine.run_many(block);
+    block.first_trial += kBlock;
+  }
+  for (auto _ : state) {
+    engine.run_many(block);
+    block.first_trial += kBlock;
+    benchmark::DoNotOptimize(rounds.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_trial"] = benchmark::Counter(
+      1e-9 * kBlock,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_Table1CodedWalk)->Unit(benchmark::kMicrosecond);
 
 // ---- google-benchmark microbenchmarks: per-round simulation cost ----
 

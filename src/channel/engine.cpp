@@ -47,26 +47,26 @@ void run_scalar_adapter(TrialBlock& block, const Run& run) {
   }
 }
 
-/// Branchless lower_bound over a power-of-two +inf-padded copy of a
-/// sorted array: returns the count of entries < u, bit-identical to
-/// std::lower_bound on the unpadded array (ties included; the padding
-/// never compares true). The fixed trip count and conditional-move
-/// body make the per-trial slot search ~3x cheaper than the branchy
-/// binary search it replaces — it was the single largest term in the
-/// dist-path run_many profile.
-std::size_t lower_bound_padded(const double* padded, std::size_t padded_size,
-                               double u) {
-  const double* base = padded;
-  std::size_t len = padded_size;
-  while (len > 1) {
-    const std::size_t half = len / 2;
-    base += (base[half - 1] < u) ? half : 0;
-    len -= half;
-  }
-  return static_cast<std::size_t>(base - padded) + (base[0] < u);
-}
-
 }  // namespace
+
+void lower_bound_column(std::span<const double> sorted,
+                        std::span<const double> u,
+                        std::span<std::uint32_t> slot) {
+  const std::size_t padded_size = std::bit_ceil(sorted.size());
+  std::vector<double> padded(padded_size,
+                             std::numeric_limits<double>::infinity());
+  std::copy(sorted.begin(), sorted.end(), padded.begin());
+  for (std::size_t t = 0; t < u.size(); ++t) {
+    const double x = u[t];
+    std::size_t base = 0;
+    for (std::size_t len = padded_size; len > 1; len -= len / 2) {
+      const std::size_t half = len / 2;
+      base += half & (std::size_t{0} -
+                      static_cast<std::size_t>(padded[base + half - 1] < x));
+    }
+    slot[t] = static_cast<std::uint32_t>(base + (padded[base] < x));
+  }
+}
 
 void run_adapter_block(
     TrialBlock& block,
@@ -95,15 +95,8 @@ void BatchColumnarEngine::run_many(TrialBlock& block) const {
     std::vector<double> uk(count);
     kops.pass1_uniform_pair(block.seed, block.first_trial, count, uk.data(),
                             u.data());
-    const std::size_t padded_size = std::bit_ceil(cum.size());
-    std::vector<double> cum_padded(padded_size,
-                                   std::numeric_limits<double>::infinity());
-    std::copy(cum.begin(), cum.end(), cum_padded.begin());
     slot.resize(count);
-    for (std::size_t t = 0; t < count; ++t) {
-      slot[t] = static_cast<std::uint32_t>(
-          lower_bound_padded(cum_padded.data(), padded_size, uk[t]));
-    }
+    lower_bound_column(cum, uk, slot);
   } else {
     kops.pass1_uniform(block.seed, block.first_trial, count, u.data());
   }

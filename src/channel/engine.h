@@ -88,6 +88,19 @@ class Engine {
 /// implementation in the library calls this first.
 void validate_trial_block(const TrialBlock& block);
 
+/// slot[t] = std::lower_bound(sorted, u[t]) - sorted.begin() for every
+/// t: the participant-count slot search of the columnar engines,
+/// mapping each size draw to its index in a distribution's cumulative
+/// support masses. Equal to std::lower_bound for every finite u (ties
+/// included), but branch-free: a fixed-trip-count descent over a
+/// +inf-padded power-of-two copy of `sorted`, whose step adds the half
+/// width through a comparison mask instead of a data-dependent branch.
+/// `sorted` must be non-empty and non-decreasing; u and slot must be
+/// the same length.
+void lower_bound_column(std::span<const double> sorted,
+                        std::span<const double> u,
+                        std::span<std::uint32_t> slot);
+
 /// Shared run_many() body for adapter engines built on the exact
 /// simulators: validates the block, then per trial derives one
 /// mt19937_64 stream feeding the k draw (when sizes are drawn) and

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <future>
 #include <mutex>
-#include <random>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "channel/kernels/kernels.h"
@@ -24,19 +24,106 @@ namespace {
 /// Returns the 1-based solve round, or 0 when the budget runs out.
 std::size_t simulate_from(const CollisionPolicy& policy, std::size_t k,
                           BitString& history, std::size_t budget,
-                          SplitMix64& rng,
-                          std::uniform_real_distribution<double>& unit) {
+                          SplitMix64& rng) {
   for (std::size_t round = history.size(); round < budget; ++round) {
     const auto outcome =
         harness::round_outcome_probabilities(k, policy.probability(history));
-    const double u = unit(rng);
+    const double u = canonical_unit(rng());
     if (u < outcome.success) return round + 1;
     history.push_back(u >= outcome.success + outcome.silence);
   }
   return 0;
 }
 
+/// One walk-mode trial in flight: its stream, the tree it walks and
+/// the node it stands on, and the collision history walked so far
+/// (bit d = the feedback of round d + 1 was a collision; depths stay
+/// below the 64-round depth cap).
+struct WalkLane {
+  SplitMix64 rng{0};
+  const harness::HistoryTreeNode* nodes = nullptr;
+  std::int64_t node = 0;
+  std::uint64_t path = 0;
+  std::uint32_t trial = 0;
+  std::uint32_t slot = 0;
+};
+
+/// Runs the walk-mode trials of `block` level by level: each pass
+/// advances every lane one round of its tree, writing the lane's
+/// result columns through selects (solved at this depth, or unsolved
+/// at the budget — a later pass overwrites them while the lane lives),
+/// then compacts the lanes still inside the expansion to the front.
+/// Independent trials thus overlap in the pipeline instead of each
+/// paying a mispredicted outcome branch per round. A lane that leaves
+/// the expansion — a pruned branch or the depth cap — continues on the
+/// exact per-round simulation from its stream state and walked path,
+/// exactly as a per-trial walk would. No separate budget test is
+/// needed: a tree's horizon is min(depth_cap, max_rounds), so a lane
+/// that walks to the budget leaves the expansion there, and its
+/// simulation has no rounds left.
+void walk_lanes(const CollisionPolicy& policy,
+                std::span<const std::size_t> slot_k,
+                std::vector<WalkLane>& lanes, TrialBlock& block) {
+  const std::uint64_t budget = block.max_rounds;
+  std::vector<WalkLane> exits(lanes.size());
+  // Raw column pointers: the byte-typed solved column may alias
+  // anything, so writes through the spans would make every pass reload
+  // them.
+  WalkLane* const live_lanes = lanes.data();
+  WalkLane* const exit_lanes = exits.data();
+  std::uint8_t* const solved_out = block.solved.data();
+  std::uint64_t* const rounds_out = block.rounds.data();
+  BitString history;
+  history.reserve(64);
+  std::size_t live = lanes.size();
+  for (std::uint64_t depth = 0; live > 0; ++depth) {
+    std::size_t kept = 0;
+    std::size_t left = 0;
+    for (std::size_t i = 0; i < live; ++i) {
+      WalkLane lane = live_lanes[i];
+      const harness::HistoryTreeNode& n =
+          lane.nodes[static_cast<std::size_t>(lane.node)];
+      const double draw = canonical_unit(lane.rng());
+      const bool solved = draw < n.cum_success;
+      const bool collided = draw >= n.cum_no_collision;
+      // A mask select: GCC compiles the ternary to a branch here.
+      const std::int64_t pick = -static_cast<std::int64_t>(collided);
+      lane.node = (n.silence & ~pick) | (n.collision & pick);
+      lane.path |= std::uint64_t{collided} << depth;
+      solved_out[lane.trial] = solved;
+      rounds_out[lane.trial] = solved ? depth + 1 : budget;
+      const bool inside = lane.node != harness::HistoryTreeNode::kNoChild;
+      live_lanes[kept] = lane;
+      kept += !solved & inside;
+      exit_lanes[left] = lane;
+      left += !solved & !inside;
+    }
+    live = kept;
+    for (std::size_t i = 0; i < left; ++i) {
+      WalkLane& lane = exit_lanes[i];
+      history.clear();
+      for (std::uint64_t d = 0; d <= depth; ++d) {
+        history.push_back((lane.path >> d) & 1);
+      }
+      const std::size_t round = simulate_from(policy, slot_k[lane.slot],
+                                              history, budget, lane.rng);
+      solved_out[lane.trial] = round != 0 ? 1 : 0;
+      rounds_out[lane.trial] = round != 0 ? round : budget;
+    }
+  }
+}
+
 }  // namespace
+
+HistoryTreeEngine::HistoryTreeEngine(const CollisionPolicy& policy,
+                                     Options options)
+    : policy_(policy), options_(options) {
+  if (options_.depth_cap > kMaxDepthCap) {
+    throw std::invalid_argument(
+        "HistoryTreeEngine: depth_cap " + std::to_string(options_.depth_cap) +
+        " exceeds " + std::to_string(kMaxDepthCap));
+  }
+}
 
 std::pair<std::shared_ptr<const harness::HistoryTree>,
           HistoryTreeEngine::Mode>
@@ -142,9 +229,6 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
     slot_k.assign(1, block.sizes.fixed_k);
   }
 
-  std::span<const double> cum;
-  if (dist != nullptr) cum = dist->support_cumulative();
-
   // Pass 1: the lane kernel derives every trial's first draw at once —
   // the participant-count draw when sizes are drawn — and the slots it
   // selects decide which (tree, mode) entries the block needs. The
@@ -159,11 +243,8 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
     uk.resize(count);
     kops.pass1_uniform(block.seed, block.first_trial, count, uk.data());
     slot_of.resize(count);
-    for (std::size_t t = 0; t < count; ++t) {
-      slot_of[t] = static_cast<std::uint32_t>(
-          std::lower_bound(cum.begin(), cum.end(), uk[t]) - cum.begin());
-      needed[slot_of[t]] = 1;
-    }
+    lower_bound_column(dist->support_cumulative(), uk, slot_of);
+    for (const std::uint32_t slot : slot_of) needed[slot] = 1;
   } else if (count > 0) {
     needed[0] = 1;
   }
@@ -191,8 +272,8 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
   }
 
   // The solve-draw column (the second draw of each stream; the first
-  // for fixed-k blocks) — bit for bit the unit(rng) value the scalar
-  // loop would have drawn. uk is recomputed by the pair kernel, to the
+  // for fixed-k blocks) — bit for bit the canonical_unit value the
+  // trial's own SplitMix64 stream draws. uk is recomputed by the pair kernel, to the
   // identical values.
   std::vector<double> u;
   if (any_cdf) {
@@ -205,68 +286,40 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
     }
   }
 
-  // Inverse-CDF trials, grouped per slot for the lane probe.
+  // Split the block by mode: inverse-CDF trials grouped per slot for
+  // the lane probe, walk trials into lanes for the level-synchronous
+  // walk, simulate trials run here. Walk and simulate trials have a
+  // variable draw count, so they re-derive their stream and discard
+  // the size draw the uk column already holds.
   std::vector<std::vector<std::uint32_t>> cdf_groups(slots.size());
-
-  BitString path;  // scratch history for the walk / simulation modes
-  path.reserve(64);
+  std::vector<WalkLane> lanes;
+  lanes.reserve(count);
+  BitString path;  // scratch history for the simulate mode
   for (std::size_t t = 0; t < count; ++t) {
     const std::size_t slot = dist != nullptr ? slot_of[t] : 0;
     const Entry& entry = slots[slot];
-    const harness::HistoryTree& tree = *entry.first;
-    const std::size_t k = slot_k[slot];
-
     if (entry.second == Mode::kInverseCdf) {
       cdf_groups[slot].push_back(static_cast<std::uint32_t>(t));
       continue;
     }
-
-    // Walk / simulate: variable draw count — re-derive the per-trial
-    // stream and discard the size draw the uk column already holds.
     SplitMix64 rng = derive_fast_rng(block.seed, block.first_trial + t);
-    std::uniform_real_distribution<double> unit(0.0, 1.0);
-    if (dist != nullptr) (void)unit(rng);
-
-    std::size_t round = 0;  // 1-based solve round; 0 = unsolved
-    switch (entry.second) {
-      case Mode::kInverseCdf:
-        break;  // handled above
-      case Mode::kWalk: {
-        path.clear();
-        std::int64_t node = tree.nodes.empty()
-                                ? harness::HistoryTreeNode::kNoChild
-                                : 0;
-        while (node != harness::HistoryTreeNode::kNoChild &&
-               path.size() < block.max_rounds) {
-          const auto& n = tree.nodes[static_cast<std::size_t>(node)];
-          // Not the solve-draw column `u` above: the walk re-derives
-          // its own per-trial stream draw by draw.
-          const double draw = unit(rng);
-          if (draw < n.cum_success) {
-            round = path.size() + 1;
-            break;
-          }
-          const bool collided = draw >= n.cum_no_collision;
-          path.push_back(collided);
-          node = collided ? n.collision : n.silence;
-        }
-        if (round == 0 && path.size() < block.max_rounds) {
-          // Left the expansion (pruned branch or depth cap): continue
-          // on the exact per-round simulation from the walked history.
-          round = simulate_from(policy_, k, path, block.max_rounds, rng,
-                                unit);
-        }
-        break;
-      }
-      case Mode::kSimulate: {
-        path.clear();
-        round = simulate_from(policy_, k, path, block.max_rounds, rng, unit);
-        break;
-      }
+    if (dist != nullptr) (void)rng();
+    const auto& nodes = entry.first->nodes;
+    if (entry.second == Mode::kWalk && !nodes.empty() &&
+        block.max_rounds > 0) {
+      lanes.push_back({rng, nodes.data(), 0, 0, static_cast<std::uint32_t>(t),
+                       static_cast<std::uint32_t>(slot)});
+      continue;
     }
+    // Simulate mode, or a walk with nothing to walk: the per-round
+    // simulation from the empty history.
+    path.clear();
+    const std::size_t round =
+        simulate_from(policy_, slot_k[slot], path, block.max_rounds, rng);
     block.solved[t] = round != 0 ? 1 : 0;
     block.rounds[t] = round != 0 ? round : block.max_rounds;
   }
+  walk_lanes(policy_, slot_k, lanes, block);
 
   // Pass 2: answer each slot's inverse-CDF trials with the lane
   // upper-bound probe over the tree's padded CDF — bit-identical to

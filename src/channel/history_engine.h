@@ -18,7 +18,13 @@
 //    mt19937_64 seeding), and a trial that leaves the expansion — a
 //    pruned branch, or the depth cap — falls back to the exact
 //    per-round simulation the CollisionPolicyColumnarEngine adapter
-//    runs, continued from the walked history;
+//    runs, continued from the walked history. The walk is level-
+//    synchronous: a block's walk trials are lanes (stream state, tree
+//    node, walked path as bits — hence the 64-round depth cap), and
+//    each pass advances every lane one tree level through selects
+//    rather than outcome branches, then compacts the lanes still
+//    inside the expansion, so independent trials overlap in the
+//    pipeline instead of each paying a mispredicted branch per round;
 //  * a policy whose tree exceeds the node cap before pruning can cut
 //    it (expansion truncated) is delegated entirely to the per-round
 //    simulation path, so the engine never costs more than a bounded
@@ -78,7 +84,9 @@ class HistoryTreeEngine final : public Engine {
  public:
   struct Options {
     /// Expansion depth cap: trees are expanded to
-    /// min(depth_cap, block.max_rounds) rounds.
+    /// min(depth_cap, block.max_rounds) rounds. At most kMaxDepthCap:
+    /// the walk keeps a trial's path through the tree in one 64-bit
+    /// word.
     std::size_t depth_cap = 48;
     /// Reach-probability prune threshold for the expansion. A freely
     /// branching tree stores on the order of (surviving mass) /
@@ -102,11 +110,14 @@ class HistoryTreeEngine final : public Engine {
     std::size_t expand_threads = 1;
   };
 
-  /// The policy must outlive the engine. (Two overloads rather than a
-  /// defaulted argument: a nested aggregate's member initializers are
-  /// not usable as a default argument inside the enclosing class.)
-  HistoryTreeEngine(const CollisionPolicy& policy, Options options)
-      : policy_(policy), options_(options) {}
+  static constexpr std::size_t kMaxDepthCap = 64;
+
+  /// The policy must outlive the engine. Throws std::invalid_argument
+  /// when options.depth_cap exceeds kMaxDepthCap. (Two overloads rather
+  /// than a defaulted argument: a nested aggregate's member
+  /// initializers are not usable as a default argument inside the
+  /// enclosing class.)
+  HistoryTreeEngine(const CollisionPolicy& policy, Options options);
   explicit HistoryTreeEngine(const CollisionPolicy& policy)
       : HistoryTreeEngine(policy, Options()) {}
 

@@ -4,6 +4,7 @@
 // sweeps and Monte-Carlo repetitions are replayable bit-for-bit.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 
@@ -69,9 +70,20 @@ class SplitMix64 {
 /// one conversion — the per-trial draw sequence is part of the
 /// bit-determinism contract and must not drift with the standard
 /// library's implementation.
+///
+/// The conversion is spelled as two exact 32-bit halves joined by one
+/// rounding add: double(hi) * 2^32 and double(lo) are exact, so the sum
+/// rounds once and equals the correctly rounded static_cast<double>
+/// (bits) — the same split the AVX2 tier's u64_to_pd uses. It exists
+/// because the direct uint64 -> double cast compiles (without AVX-512)
+/// to a sign-test branch that mispredicts on half of all draws; both
+/// halves here convert as signed values, and the clamp is a min.
 inline double canonical_unit(std::uint64_t bits) {
-  const double u = static_cast<double>(bits) * 0x1p-64;
-  return u >= 1.0 ? 0x1.fffffffffffffp-1 : u;
+  const double hi = static_cast<double>(static_cast<std::int64_t>(bits >> 32));
+  const double lo =
+      static_cast<double>(static_cast<std::int64_t>(bits & 0xffffffffULL));
+  const double u = (hi * 0x1p32 + lo) * 0x1p-64;
+  return std::min(u, 0x1.fffffffffffffp-1);
 }
 
 /// Counterpart of derive_rng for the lightweight engine: independent,

@@ -11,6 +11,9 @@
 //    order changes are caught deliberately.
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -22,6 +25,8 @@
 #include "channel/history_engine.h"
 #include "channel/rng.h"
 #include "harness/exact.h"
+#include "harness/grids.h"
+#include "harness/hash.h"
 #include "harness/history_tree.h"
 #include "harness/measure.h"
 #include "harness/parallel.h"
@@ -401,6 +406,190 @@ TEST(HistoryTreeEngine, FailedExpansionIsRetriedNotCached) {
   ASSERT_NE(tree, nullptr);
   EXPECT_EQ(flaky.calls() - before, one_expansion);
   EXPECT_EQ(engine.tree_for(60, 1 << 12).first.get(), tree.get());
+}
+
+/// Collides forever for its first 64 rounds (k = 2 always both
+/// transmit), then transmits with probability 1/2 only if the first
+/// and the 64th feedback bits were both collisions — a history the
+/// walk hands to the fallback simulation as its full 64-bit path.
+class SixtyFourthRoundPolicy final : public channel::CollisionPolicy {
+ public:
+  double probability(const channel::BitString& history) const override {
+    if (history.size() < 64) return 1.0;
+    return history[0] && history[63] ? 0.5 : 0.0;
+  }
+  std::string name() const override { return "sixty-fourth-round"; }
+};
+
+TEST(HistoryTreeEngine, DepthCapAboveSixtyFourThrows) {
+  const ConstantPolicy half(0.5);
+  HistoryTreeEngine::Options options;
+  options.depth_cap = 65;
+  EXPECT_THROW(HistoryTreeEngine(half, options), std::invalid_argument);
+  options.depth_cap = 64;
+  EXPECT_NO_THROW(HistoryTreeEngine(half, options));
+}
+
+TEST(HistoryTreeEngine, WalkHandsTheFullSixtyFourRoundPathToTheFallback) {
+  // Every trial walks all 64 levels of the expansion, leaves it at the
+  // depth cap, and can only solve if the fallback sees both the first
+  // and the last walked bit.
+  const SixtyFourthRoundPolicy policy;
+  HistoryTreeEngine::Options options;
+  options.depth_cap = 64;
+  const HistoryTreeEngine engine(policy, options);
+  EXPECT_EQ(engine.tree_for(2, 200).second, HistoryTreeEngine::Mode::kWalk);
+  const std::size_t count = 1025;
+  std::vector<std::uint8_t> solved(count);
+  std::vector<std::uint64_t> rounds(count);
+  channel::TrialBlock block{.seed = 61,
+                            .first_trial = 3,
+                            .max_rounds = 200,
+                            .sizes = {nullptr, 2},
+                            .solved = solved,
+                            .rounds = rounds};
+  engine.run_many(block);
+  for (std::size_t t = 0; t < count; ++t) {
+    ASSERT_EQ(solved[t], 1) << "trial " << t;
+    ASSERT_GT(rounds[t], 64u) << "trial " << t;
+  }
+}
+
+// ---- walk-mode column goldens ------------------------------------
+//
+// The solved/rounds columns of run_many on walk-mode keys, hashed per
+// (policy, size source, budget) over blocks of 0, 1, 1023 and 1025
+// trials at non-zero first trials. Captured from the per-trial scalar
+// walk that the level-synchronous walk replaced: the rewrite must
+// consume every trial's stream draw for draw as that loop did, fall
+// back to simulation at the same depth, and stop at the same budget.
+
+/// FNV-1a over the solved and rounds columns of `engine` on blocks of
+/// 0, 1, 1023 and 1025 trials.
+std::uint64_t walk_digest(const HistoryTreeEngine& engine,
+                          const channel::SizeSource& sizes,
+                          std::size_t max_rounds, std::uint64_t seed) {
+  Fnv1a digest;
+  std::size_t first_trial = 4097;
+  for (const std::size_t count : {0ul, 1ul, 1023ul, 1025ul}) {
+    std::vector<std::uint8_t> solved(count, 0xff);
+    std::vector<std::uint64_t> rounds(count, ~std::uint64_t{0});
+    channel::TrialBlock block{.seed = seed,
+                              .first_trial = first_trial,
+                              .max_rounds = max_rounds,
+                              .sizes = sizes,
+                              .solved = solved,
+                              .rounds = rounds};
+    engine.run_many(block);
+    digest.u64(count);
+    for (std::size_t t = 0; t < count; ++t) {
+      digest.byte(solved[t]);
+      digest.u64(rounds[t]);
+    }
+    first_trial += count + 31;
+  }
+  return digest.state;
+}
+
+struct WalkGolden {
+  const char* name;
+  std::size_t max_rounds;
+  std::uint64_t digest;
+};
+
+/// Compares each budget's digest with `goldens`, printing the
+/// measured table on a mismatch so a deliberate change can be
+/// re-captured in one run.
+void expect_walk_goldens(const HistoryTreeEngine& engine,
+                         const channel::SizeSource& sizes,
+                         std::uint64_t seed,
+                         std::span<const WalkGolden> goldens) {
+  std::string measured;
+  bool all_match = true;
+  for (const WalkGolden& golden : goldens) {
+    const std::uint64_t got =
+        walk_digest(engine, sizes, golden.max_rounds, seed);
+    char line[128];
+    std::snprintf(line, sizeof line, "      {\"%s\", %zu, 0x%016llxULL},\n",
+                  golden.name, golden.max_rounds,
+                  static_cast<unsigned long long>(got));
+    measured += line;
+    if (got != golden.digest) {
+      all_match = false;
+      ADD_FAILURE() << golden.name << " max_rounds=" << golden.max_rounds;
+    }
+  }
+  if (!all_match) ADD_FAILURE() << "measured digests:\n" << measured;
+}
+
+TEST(HistoryTreeEngine, WalkColumnsMatchGoldens) {
+  // Willard under a 4-round depth cap: past the budget of 4 nearly
+  // every trial leaves the expansion and continues on the simulation.
+  const baselines::WillardPolicy willard(1 << 12);
+  HistoryTreeEngine::Options capped;
+  capped.depth_cap = 4;
+  const HistoryTreeEngine willard_engine(willard, capped);
+  const auto willard_sizes = table1_sizes(1 << 12);
+  const WalkGolden willard_fixed[] = {
+      {"willard-cap4-k60", 1, 0x45b56a8f28c5b1d9ULL},
+      {"willard-cap4-k60", 2, 0x6a3c276b688384eaULL},
+      {"willard-cap4-k60", 3, 0x05c5817201854bb1ULL},
+      {"willard-cap4-k60", 4, 0x04d841e8a05b73d4ULL},
+      {"willard-cap4-k60", 5, 0xbcd916b0e130d373ULL},
+      {"willard-cap4-k60", 1 << 12, 0x6f556acf84981d38ULL},
+  };
+  expect_walk_goldens(willard_engine, {nullptr, 60}, 51, willard_fixed);
+  const WalkGolden willard_drawn[] = {
+      {"willard-cap4-drawn", 1, 0x651df4d5b566c116ULL},
+      {"willard-cap4-drawn", 2, 0x6c558c133da81b6eULL},
+      {"willard-cap4-drawn", 3, 0xeee6d3ac0414eea5ULL},
+      {"willard-cap4-drawn", 4, 0x3072961aeabdc097ULL},
+      {"willard-cap4-drawn", 5, 0x2962de44d1a69cc7ULL},
+      {"willard-cap4-drawn", 1 << 12, 0x6f5c74a4b53f9e43ULL},
+  };
+  expect_walk_goldens(willard_engine, {&willard_sizes, 0}, 52,
+                      willard_drawn);
+
+  // Table 1's coded-search policy at n = 2^12 (the last entropy
+  // point) under the default 48-round cap: the walk mode table1 runs.
+  const auto points = table1_entropy_points(1 << 12);
+  const Table1EntropyPoint& point = points.back();
+  const HistoryTreeEngine coded_engine(point.policy);
+  const WalkGolden coded_fixed[] = {
+      {"coded-k300", 1, 0xcb06781e45ceeabfULL},
+      {"coded-k300", 2, 0x2da2b8d3b5b4060aULL},
+      {"coded-k300", 47, 0xf521ce5ce7509014ULL},
+      {"coded-k300", 48, 0xf521ce5ce7509014ULL},
+      {"coded-k300", 49, 0xf521ce5ce7509014ULL},
+      {"coded-k300", 1 << 14, 0xf521ce5ce7509014ULL},
+  };
+  expect_walk_goldens(coded_engine, {nullptr, 300}, 53, coded_fixed);
+  const WalkGolden coded_drawn[] = {
+      {"coded-drawn", 1, 0xd717d8cd135c8c7bULL},
+      {"coded-drawn", 2, 0x29f84c4b69d3f632ULL},
+      {"coded-drawn", 47, 0xa272c5eaffde802eULL},
+      {"coded-drawn", 48, 0xa272c5eaffde802eULL},
+      {"coded-drawn", 49, 0xa272c5eaffde802eULL},
+      {"coded-drawn", 1 << 14, 0xa272c5eaffde802eULL},
+  };
+  expect_walk_goldens(coded_engine, {&point.actual, 0}, 54, coded_drawn);
+
+  // A coarse prune threshold cuts the coded trees from depth 1 on, so
+  // even 2- and 3-round budgets walk (and leave the expansion), and a
+  // drawn block mixes walk and inverse-CDF slots.
+  HistoryTreeEngine::Options coarse;
+  coarse.prune_below = 0.1;
+  const HistoryTreeEngine pruned_engine(point.policy, coarse);
+  const WalkGolden pruned_drawn[] = {
+      {"coded-pruned-drawn", 1, 0x50bd18c1a3d9c82eULL},
+      {"coded-pruned-drawn", 2, 0x70413c316de2031eULL},
+      {"coded-pruned-drawn", 3, 0x065f9c3ca5b9a5deULL},
+      {"coded-pruned-drawn", 47, 0xe8f7aff15139e190ULL},
+      {"coded-pruned-drawn", 48, 0xc6f51f8ca695173bULL},
+      {"coded-pruned-drawn", 49, 0x4a0c85b307cdd3b6ULL},
+      {"coded-pruned-drawn", 1 << 14, 0x9ceb3f1074ad0d77ULL},
+  };
+  expect_walk_goldens(pruned_engine, {&point.actual, 0}, 55, pruned_drawn);
 }
 
 // ---- golden fixed-seed statistics --------------------------------

@@ -11,7 +11,10 @@
 //    constructed std::uniform_real_distribution, the draw sequence the
 //    kernels re-derive arithmetically;
 //  * canonical_unit against std::uniform_real_distribution over a
-//    scripted URBG, word by word, including the clamp at 1.0;
+//    scripted URBG, word by word, including the clamp at 1.0, the
+//    round-to-even ties, and 2^20 random words;
+//  * the engines' size-slot search (lower_bound_column) against
+//    std::lower_bound;
 //  * log1p_neg within 1 ulp of libm's log1p over (-1, 0];
 //  * the probe descents against std::upper_bound / the scalar
 //    search_one on tables with exact ties, single entries, all--inf
@@ -114,21 +117,83 @@ TEST(KernelScalar, CanonicalUnitMatchesLibstdcppWordForWord) {
     result_type word;
     result_type operator()() { return word; }
   };
+  const auto matches = [](std::uint64_t w) {
+    ScriptedUrbg urbg{w};
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    const double want = unit(urbg);
+    return canonical_unit(w) == want && canonical_unit(w) < 1.0;
+  };
+  constexpr std::uint64_t k2p53 = 1ULL << 53;
+  constexpr std::uint64_t k2p63 = 1ULL << 63;
   const std::uint64_t words[] = {
       0ULL,
       1ULL,
+      0xffffffffULL,          // low half only
+      0x100000000ULL,         // high half only
       0x7fffffffffffffffULL,
       0x8000000000000000ULL,
       0xfffffffffffff7ffULL,  // last word below the clamp region
       0xfffffffffffff800ULL,  // first word whose double rounds to 1.0
       ~0ULL,
+      // Round-to-even ties just above 2^53 (ulp 2): an odd word sits
+      // exactly between two doubles and must round to the even one.
+      k2p53 + 1, k2p53 + 3, k2p53 + 5, k2p53 - 1,
+      // Around 2^63: ties at half an ulp (2^9 below, 2^10 above),
+      // and one unit either side of each tie (the sticky bits).
+      k2p63 - 512, k2p63 - 3 * 512, k2p63 - 511, k2p63 - 513,
+      k2p63 + 1024, k2p63 + 3 * 1024, k2p63 + 1023, k2p63 + 1025,
+      k2p63 + 3 * 1024 + 1, k2p63 + 3 * 1024 - 1,
+      // A tie whose upper neighbour carries into the high half.
+      0x80000000fffffc00ULL, 0x80000000fffffc01ULL,
   };
-  for (const std::uint64_t w : words) {
-    ScriptedUrbg urbg{w};
-    std::uniform_real_distribution<double> unit(0.0, 1.0);
-    const double want = unit(urbg);
-    EXPECT_EQ(canonical_unit(w), want) << "word " << w;
-    EXPECT_LT(canonical_unit(w), 1.0);
+  for (const std::uint64_t w : words) EXPECT_TRUE(matches(w)) << "word " << w;
+
+  // And 2^20 seeded random words: the branch-free split conversion
+  // must equal the library's direct cast on every one.
+  std::mt19937_64 rng(20260);
+  for (int i = 0; i < (1 << 20); ++i) {
+    const std::uint64_t w = rng();
+    if (!matches(w)) {
+      ADD_FAILURE() << "word " << w;
+      break;
+    }
+  }
+}
+
+TEST(KernelScalar, LowerBoundColumnMatchesStdLowerBound) {
+  // The engines' branch-free size-slot search against std::lower_bound
+  // on every support size from 1 to 33 (each power of two and its
+  // neighbours pad differently), with queries exactly on every
+  // cumulative entry, at 0, between entries, and near 1, over tables
+  // with exact ties and a final entry of 1.0.
+  std::mt19937_64 rng(33);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (std::size_t size = 1; size <= 33; ++size) {
+    for (const bool ties : {false, true}) {
+      std::vector<double> cum(size);
+      for (double& c : cum) c = unit(rng);
+      if (ties) {
+        for (std::size_t i = 1; i < size; i += 3) cum[i] = cum[i - 1];
+      }
+      std::sort(cum.begin(), cum.end());
+      cum.back() = 1.0;
+      std::vector<double> queries = {0.0, std::nextafter(1.0, 0.0)};
+      for (const double c : cum) {
+        queries.push_back(c);
+        queries.push_back(std::nextafter(c, 0.0));
+        if (c < 1.0) queries.push_back(std::nextafter(c, 1.0));
+      }
+      for (int i = 0; i < 64; ++i) queries.push_back(unit(rng));
+      std::vector<std::uint32_t> slot(queries.size());
+      lower_bound_column(cum, queries, slot);
+      for (std::size_t j = 0; j < queries.size(); ++j) {
+        const auto want = static_cast<std::uint32_t>(
+            std::lower_bound(cum.begin(), cum.end(), queries[j]) -
+            cum.begin());
+        ASSERT_EQ(slot[j], want) << "size " << size << " query "
+                                 << queries[j] << " ties " << ties;
+      }
+    }
   }
 }
 
