@@ -9,14 +9,15 @@
 // engine names, cell range, the sweep CSV header) and then carries one
 // record per completed cell: the cell's global index, its derived
 // seed, and its CSV row bytes — exactly the bytes write_sweep_csv
-// would emit — each framed with a length prefix, an FNV-1a checksum,
-// and an explicit end-of-record marker. The header block is created
-// via atomic temp-file + rename + fsync and every record append is
-// fsync'd, so after a crash the file is either a valid prefix of
-// records or a valid prefix plus a detectably-torn tail; the reader
-// distinguishes the two and *rejects* (naming file and byte offset)
-// anything that is neither — a complete record with a wrong checksum
-// is corruption, not a crash, and must never be replayed.
+// would emit — each with an FNV-1a checksum. The format is a record
+// schema over harness/journal.h, which owns the framing (length-
+// prefixed payload, end-of-record marker) and the torn-vs-corrupt
+// rule. The header block is created via atomic temp-file + rename +
+// fsync and every record append is fsync'd, so after a crash the file
+// is either a valid prefix of records or a valid prefix plus a
+// detectably-torn tail; the reader *rejects* (naming file and byte
+// offset) anything that is neither — a complete record with a wrong
+// checksum is corruption, not a crash, and must never be replayed.
 //
 // Resume is bit-exact by construction: PR 5's determinism contract
 // pins every cell's seed to its global grid index, so replaying
@@ -43,53 +44,13 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "harness/journal.h"
 #include "harness/shard.h"
 
 namespace crp::harness {
-
-/// An I/O failure (open/write/fsync/rename) in the checkpoint or
-/// artifact layer. Distinct from std::invalid_argument (validation:
-/// corrupt or mismatched inputs) so callers — crp_shard's exit-code
-/// taxonomy — can map the two to different retry policies.
-struct IoError : std::runtime_error {
-  explicit IoError(const std::string& message) : std::runtime_error(message) {}
-};
-
-/// Writes `contents` under `path` atomically: temp file in the same
-/// directory, write, fsync, rename over the final name, fsync the
-/// directory. A crash or disk-full at any point leaves either the old
-/// file (or nothing) or the complete new file under `path` — never a
-/// half-written artifact under the final name. Creates parent
-/// directories as needed, and fsyncs the parent of every directory it
-/// creates: a new directory is itself just an entry in *its* parent,
-/// so without the chain fsync a power loss right after the rename
-/// could forget the whole directory tree even though the file's own
-/// directory entry was flushed. Throws IoError.
-void atomic_write_file(const std::string& path, std::string_view contents);
-
-/// Durability seam for journal appends. The production sink is an
-/// O_APPEND file descriptor with fsync; tests inject sinks that fail,
-/// short-write, or truncate at the Nth append to prove every recovery
-/// path (tests/fault_injection_test.cpp).
-class CheckpointSink {
- public:
-  virtual ~CheckpointSink() = default;
-  /// Appends bytes at the end of the journal. Throws IoError.
-  virtual void append(std::string_view bytes) = 0;
-  /// Durably flushes everything appended so far (fsync). Throws IoError.
-  virtual void sync() = 0;
-};
-
-/// The production sink: append-only writes + fsync on `sync()`. The
-/// file must already exist (the journal header is created atomically
-/// by atomic_write_file first).
-std::unique_ptr<CheckpointSink> open_file_checkpoint_sink(
-    const std::string& path);
 
 /// Factory seam: given the journal path, an opened append sink.
 using CheckpointSinkFactory =
@@ -128,8 +89,8 @@ struct CheckpointJournal {
 /// Serialized journal pieces, exposed so tests (and external tools)
 /// can compose or corrupt journals deliberately. The header block
 /// embeds the sweep CSV header line; the record embeds the row bytes.
-/// Both are self-framing: length prefix + FNV-1a checksum + ".\n"
-/// end marker.
+/// Both are framed by journal_frame (harness/journal.h) and carry an
+/// FNV-1a checksum.
 std::string format_checkpoint_header(const ShardManifest& identity,
                                      const std::string& csv_header);
 std::string format_checkpoint_record(const CheckpointRecord& record);

@@ -21,17 +21,12 @@
 #include "harness/checkpoint.h"
 #include "harness/csv.h"
 #include "harness/hash.h"
+#include "harness/journal.h"
 #include "info/distribution.h"
 
 namespace crp::harness {
 
 namespace {
-
-std::string hex(std::uint64_t value) {
-  std::ostringstream out;
-  out << "0x" << std::hex << value;
-  return out.str();
-}
 
 [[noreturn]] void merge_error(const std::string& message) {
   throw std::invalid_argument("shard merge: " + message);

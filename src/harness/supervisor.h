@@ -34,8 +34,8 @@
 // gate cmp's it under random kill -9s).
 //
 // The supervisor keeps its own crash-safe state journal
-// (crp-supervisor-journal-v1: atomic header + fsync'd checksummed
-// records, same discipline as the worker journals) recording every
+// (crp-supervisor-journal-v1: a record schema over the worker
+// journals' framing, harness/journal.h) recording every
 // bisection and quarantine decision, so `supervise --resume` restarts
 // the fleet idempotently: completed ranges are detected by their
 // manifests, partially-run ranges respawn as `resume`, and the
@@ -251,12 +251,11 @@ struct BisectRecord {
   std::size_t cell_end = 0;
 };
 
-/// The supervisor's durable identity + decision log. Same discipline
-/// as the worker journals: the header is written whole via atomic
-/// temp-file + rename + fsync, records are appended with a length
-/// prefix, an FNV-1a checksum, and an end-of-record marker, each
-/// append fsync'd — after a crash the file is a valid prefix plus at
-/// most a detectably-torn tail.
+/// The supervisor's durable identity + decision log, framed by
+/// harness/journal.h like the worker journals: the header is written
+/// whole via atomic_write_file, each record carries an FNV-1a checksum
+/// and is appended fsync'd — after a crash the file is a valid prefix
+/// plus at most a detectably-torn tail.
 struct SupervisorJournal {
   std::uint64_t grid_hash = 0;
   std::uint64_t master_seed = 0;

@@ -110,6 +110,11 @@ def main():
     check(rule_ids == fired,
           f"every catalogued rule fires in the fixtures "
           f"(catalogue {sorted(rule_ids)} vs fired {sorted(fired)})")
+    # The journal framing sits on the worker/supervisor exit paths, so
+    # the exit-taxonomy scope covers it.
+    check(any(path.startswith("src/harness/journal")
+              and rule == "exit-taxonomy" for (path, _, rule) in found),
+          "exit-taxonomy fires under src/harness/journal")
     check(any(rule == "lint-pragma" for (_, _, rule) in expected),
           "the pragma policy (reasonless/unknown/malformed allow) is "
           "covered")

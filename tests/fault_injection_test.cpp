@@ -1,19 +1,24 @@
 // Fault injection for the checkpoint layer (harness/checkpoint.h):
 // the journal survives a kill at *every* cell and every byte. A
 // failing or short-writing sink at the Nth append, truncation at
-// every byte offset, a bit flip in every byte, and duplicate records
+// every byte offset, a flip of every bit of every byte (swept over
+// both journal formats — worker and supervisor — since they share one
+// framing, harness/journal.h), and duplicate records
 // must each leave the journal either resumable (valid prefix, torn
 // tail truncated on resume) or rejected with an error naming the file
 // and byte offset — never silently replayed. The centerpiece
 // assertion everywhere: resume-then-merge is byte-identical to the
 // monolithic CSV.
+#include <algorithm>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -23,6 +28,7 @@
 #include "baselines/willard.h"
 #include "harness/checkpoint.h"
 #include "harness/shard.h"
+#include "harness/supervisor.h"
 #include "harness/sweep.h"
 #include "info/distribution.h"
 
@@ -203,93 +209,219 @@ TEST(FaultInjection, KillAtEveryCellInEveryModeResumesByteIdentical) {
   }
 }
 
-TEST(FaultInjection, TruncationAtEveryByteIsTornOrHeaderDamage) {
+/// What a journal reader accepted from a file, re-serialized through
+/// the format's own writers. It equals the reference's header and
+/// first records exactly when nothing accepted was damaged.
+struct Accepted {
+  std::size_t valid_bytes = 0;
+  std::size_t torn_bytes = 0;
+  std::string header;
+  std::vector<std::string> records;  ///< in the reader's order
+};
+
+/// One journal format under the byte-level damage sweeps: a reference
+/// file (header, then framed records) and the format's reader.
+struct JournalUnderTest {
+  std::string name;
+  std::string header;
+  std::vector<std::string> records;  ///< framed, in file order
+  std::function<Accepted(const std::string& path)> read;
+
+  std::string bytes() const {
+    std::string out = header;
+    for (const auto& record : records) out += record;
+    return out;
+  }
+  /// Where the valid prefix may end: after the header, then after
+  /// each record.
+  std::vector<std::size_t> boundaries() const {
+    std::vector<std::size_t> out = {header.size()};
+    for (const auto& record : records) {
+      out.push_back(out.back() + record.size());
+    }
+    return out;
+  }
+  /// Asserts `accepted` is an undamaged prefix: it ends on a record
+  /// boundary and carries exactly the reference's header and the
+  /// records before that boundary.
+  void expect_undamaged_prefix(const Accepted& accepted,
+                               const std::string& label) const {
+    const auto ends = boundaries();
+    const auto end = std::find(ends.begin(), ends.end(), accepted.valid_bytes);
+    ASSERT_NE(end, ends.end())
+        << label << ": valid prefix ends mid-record at byte "
+        << accepted.valid_bytes;
+    const auto kept = static_cast<std::size_t>(end - ends.begin());
+    EXPECT_EQ(accepted.header, header) << label;
+    // The supervisor reader groups records by tag, so compare sorted.
+    std::vector<std::string> expected(records.begin(),
+                                      records.begin() + kept);
+    std::vector<std::string> got = accepted.records;
+    std::sort(expected.begin(), expected.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << label << ": a replayed record is damaged";
+  }
+};
+
+/// The worker journal of a completed 6-cell checkpointed run.
+JournalUnderTest checkpoint_journal(const Reference& reference) {
+  JournalUnderTest format;
+  format.name = "checkpoint";
+  format.header = reference.journal.substr(0, reference.header_bytes);
+  for (const auto& record : reference.records) {
+    format.records.push_back(format_checkpoint_record(record));
+  }
+  format.read = [](const std::string& path) {
+    const CheckpointJournal journal = read_checkpoint_journal(path);
+    ShardManifest identity;
+    identity.engine = journal.engine;
+    identity.cd_engine = journal.cd_engine;
+    identity.grid_hash = journal.grid_hash;
+    identity.master_seed = journal.master_seed;
+    identity.trials = journal.trials;
+    identity.total_cells = journal.total_cells;
+    identity.cell_begin = journal.cell_begin;
+    identity.cell_end = journal.cell_end;
+    Accepted accepted{.valid_bytes = journal.valid_bytes,
+                      .torn_bytes = journal.torn_bytes,
+                      .header = format_checkpoint_header(identity,
+                                                         journal.csv_header),
+                      .records = {}};
+    for (const auto& record : journal.records) {
+      accepted.records.push_back(format_checkpoint_record(record));
+    }
+    return accepted;
+  };
+  return format;
+}
+
+/// A supervisor journal as a fleet that bisected down to two poisoned
+/// cells writes it: bisections interleaved with quarantines.
+JournalUnderTest supervisor_journal() {
+  SupervisorJournal identity;
+  identity.grid_hash = 0xdeadbeefcafef00dULL;
+  identity.master_seed = 0x1122334455667788ULL;
+  identity.trials = 600;
+  identity.total_cells = 8;
+  identity.workers = 3;
+  identity.engine = "batch";
+  identity.cd_engine = "simulate";
+  JournalUnderTest format;
+  format.name = "supervisor";
+  format.header = format_supervisor_header(identity);
+  format.records = {
+      format_supervisor_bisect({.cell_begin = 0, .mid = 1, .cell_end = 3}),
+      format_supervisor_bisect({.cell_begin = 1, .mid = 2, .cell_end = 3}),
+      format_supervisor_quarantine({.cell_index = 2,
+                                    .attempts = 0,
+                                    .reason = "validation error (exit 3)"}),
+      format_supervisor_bisect({.cell_begin = 3, .mid = 4, .cell_end = 6}),
+      format_supervisor_quarantine(
+          {.cell_index = 3,
+           .attempts = 4,
+           .reason = "timed out (killed by the supervisor) after 4 "
+                     "no-progress attempt(s)"}),
+  };
+  format.read = [](const std::string& path) {
+    const SupervisorJournal journal = read_supervisor_journal(path);
+    Accepted accepted{.valid_bytes = journal.valid_bytes,
+                      .torn_bytes = journal.torn_bytes,
+                      .header = format_supervisor_header(journal),
+                      .records = {}};
+    for (const auto& record : journal.bisections) {
+      accepted.records.push_back(format_supervisor_bisect(record));
+    }
+    for (const auto& cell : journal.quarantined) {
+      accepted.records.push_back(format_supervisor_quarantine(cell));
+    }
+    return accepted;
+  };
+  return format;
+}
+
+/// Both journal formats, over the shared framing.
+std::vector<JournalUnderTest> journal_formats(
+    const std::filesystem::path& dir) {
   const Fixture f;
   const auto cells = f.grid().cells();
-  const auto dir = test_dir();
   const Reference reference =
       build_reference(dir, cells, {.shard_count = 1, .shard_index = 0});
-  const auto path = (dir / "truncated.journal").string();
+  return {checkpoint_journal(reference), supervisor_journal()};
+}
 
-  // Record boundaries: after the header, then after each record.
-  std::vector<std::size_t> boundaries = {reference.header_bytes};
-  for (const auto& record : reference.records) {
-    boundaries.push_back(boundaries.back() +
-                         format_checkpoint_record(record).size());
-  }
+void write_bytes(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
 
-  for (std::size_t cut = 0; cut < reference.journal.size(); ++cut) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << reference.journal.substr(0, cut);
-    out.close();
-    if (cut < reference.header_bytes) {
-      // The header block is written atomically — a file that ends
-      // inside it cannot come from a crash and must be rejected,
-      // naming the file.
-      try {
-        (void)read_checkpoint_journal(path);
-        FAIL() << "header truncation at byte " << cut << " was accepted";
-      } catch (const std::invalid_argument& error) {
-        EXPECT_NE(std::string(error.what()).find(path), std::string::npos)
-            << error.what();
+TEST(FaultInjection, TruncationAtEveryByteIsTornOrHeaderDamage) {
+  const auto dir = test_dir();
+  for (const JournalUnderTest& format : journal_formats(dir)) {
+    const std::string bytes = format.bytes();
+    const auto boundaries = format.boundaries();
+    const auto path = (dir / (format.name + ".truncated.journal")).string();
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      const std::string label =
+          format.name + " journal cut at " + std::to_string(cut);
+      write_bytes(path, std::string_view(bytes).substr(0, cut));
+      if (cut < format.header.size()) {
+        // The header is written atomically — a file that ends inside
+        // it cannot come from a crash and must be rejected, naming the
+        // file.
+        try {
+          (void)format.read(path);
+          ADD_FAILURE() << label << ": header truncation was accepted";
+        } catch (const std::invalid_argument& error) {
+          EXPECT_NE(std::string(error.what()).find(path), std::string::npos)
+              << error.what();
+        }
+        continue;
       }
-    } else {
       // Inside the record region every truncation is a legal crash:
       // the valid prefix is the greatest record boundary <= cut and
       // the rest is torn tail.
-      const auto journal = read_checkpoint_journal(path);
-      std::size_t expected_valid = boundaries.front();
-      std::size_t expected_records = 0;
-      for (std::size_t i = 1; i < boundaries.size(); ++i) {
-        if (boundaries[i] <= cut) {
-          expected_valid = boundaries[i];
-          expected_records = i;
-        }
-      }
-      EXPECT_EQ(journal.valid_bytes, expected_valid) << "cut at " << cut;
-      EXPECT_EQ(journal.torn_bytes, cut - expected_valid) << "cut at " << cut;
-      ASSERT_EQ(journal.records.size(), expected_records) << "cut at " << cut;
-      for (std::size_t i = 0; i < expected_records; ++i) {
-        EXPECT_EQ(journal.records[i].row, reference.records[i].row);
-      }
+      const Accepted accepted = format.read(path);
+      const std::size_t expected_valid =
+          *(std::upper_bound(boundaries.begin(), boundaries.end(), cut) - 1);
+      EXPECT_EQ(accepted.valid_bytes, expected_valid) << label;
+      EXPECT_EQ(accepted.torn_bytes, cut - expected_valid) << label;
+      format.expect_undamaged_prefix(accepted, label);
     }
   }
 }
 
 TEST(FaultInjection, BitFlipIsNeverSilentlyReplayed) {
-  const Fixture f;
-  const auto cells = f.grid().cells();
   const auto dir = test_dir();
-  const Reference reference =
-      build_reference(dir, cells, {.shard_count = 1, .shard_index = 0});
-  const auto path = (dir / "flipped.journal").string();
-
-  for (std::size_t offset = 0; offset < reference.journal.size(); ++offset) {
-    std::string flipped = reference.journal;
-    flipped[offset] = static_cast<char>(flipped[offset] ^ 0x01);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << flipped;
-    out.close();
-    // Every single-bit flip must either be rejected — an error naming
-    // the file and a byte offset — or classified as a torn tail whose
-    // valid prefix carries only *undamaged* records (a flip in a
-    // length field can legally make the file look short). What can
-    // never happen: a damaged record replayed as valid.
-    try {
-      const auto journal = read_checkpoint_journal(path);
-      EXPECT_GT(journal.torn_bytes, 0u)
-          << "flip at byte " << offset << " was silently accepted";
-      ASSERT_LE(journal.records.size(), reference.records.size());
-      for (std::size_t i = 0; i < journal.records.size(); ++i) {
-        EXPECT_EQ(journal.records[i].row, reference.records[i].row)
-            << "flip at byte " << offset << " corrupted a replayed record";
+  for (const JournalUnderTest& format : journal_formats(dir)) {
+    const std::string bytes = format.bytes();
+    const auto path = (dir / (format.name + ".flipped.journal")).string();
+    for (std::size_t offset = 0; offset < bytes.size(); ++offset) {
+      for (int bit = 0; bit < 8; ++bit) {
+        const std::string label = format.name + " journal, bit " +
+                                  std::to_string(bit) + " of byte " +
+                                  std::to_string(offset);
+        std::string flipped = bytes;
+        flipped[offset] = static_cast<char>(flipped[offset] ^ (1 << bit));
+        write_bytes(path, flipped);
+        // Every single-bit flip must either be rejected — an error
+        // naming the file and a byte offset — or classified as a torn
+        // tail whose valid prefix carries only *undamaged* records (a
+        // flip in a length field can legally make the file look
+        // short). What can never happen: a damaged record replayed as
+        // valid — including a hex digit whose case bit flipped.
+        try {
+          const Accepted accepted = format.read(path);
+          EXPECT_GT(accepted.torn_bytes, 0u)
+              << label << " was silently accepted";
+          format.expect_undamaged_prefix(accepted, label);
+        } catch (const std::invalid_argument& error) {
+          const std::string what = error.what();
+          EXPECT_NE(what.find(path), std::string::npos)
+              << label << ": error does not name the file: " << what;
+          EXPECT_NE(what.find("at byte "), std::string::npos)
+              << label << ": error does not name the offset: " << what;
+        }
       }
-    } catch (const std::invalid_argument& error) {
-      const std::string what = error.what();
-      EXPECT_NE(what.find(path), std::string::npos)
-          << "error does not name the file: " << what;
-      EXPECT_NE(what.find("at byte "), std::string::npos)
-          << "error does not name the offset: " << what;
     }
   }
 }

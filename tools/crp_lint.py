@@ -388,7 +388,7 @@ RULES = [
         "paths — exits go through the documented taxonomy constants.",
         lambda rel: rel.startswith("tools/crp_shard")
         or _in(rel, "src/harness/supervisor", "src/harness/checkpoint",
-               "src/harness/shard"),
+               "src/harness/shard", "src/harness/journal"),
         check_exit_taxonomy,
     ),
 ]

@@ -143,6 +143,7 @@
 #include "harness/csv.h"
 #include "harness/gridspec.h"
 #include "harness/grids.h"
+#include "harness/journal.h"
 #include "harness/shard.h"
 #include "harness/supervisor.h"
 #include "harness/sweep.h"
@@ -464,12 +465,6 @@ OwnedGrid build_grid(const Options& options) {
   return owned;
 }
 
-std::string hex(std::uint64_t value) {
-  std::ostringstream out;
-  out << "0x" << std::hex << value;
-  return out.str();
-}
-
 /// The shard → cell map for --shards N workers, with nothing executed:
 /// everything a scheduler needs to fan out `run --shard i/N` jobs and
 /// predict their artifacts. Both output formats carry, per cell, the
@@ -500,8 +495,8 @@ int plan_mode(const Options& options) {
         << "  \"format\": \"crp-shard-plan-v1\",\n"
         << "  \"grid\": \"" << ch::json_escape(grid.label) << "\",\n"
         << "  \"total_cells\": " << grid.cells.size() << ",\n"
-        << "  \"grid_hash\": \"" << hex(fingerprint) << "\",\n"
-        << "  \"master_seed\": \"" << hex(options.seed) << "\",\n"
+        << "  \"grid_hash\": \"" << ch::hex(fingerprint) << "\",\n"
+        << "  \"master_seed\": \"" << ch::hex(options.seed) << "\",\n"
         << "  \"default_trials\": " << options.trials << ",\n"
         << "  \"shard_count\": " << options.plan_shard_count << ",\n"
         << "  \"shards\": [";
@@ -524,11 +519,11 @@ int plan_mode(const Options& options) {
             << "\",\n"
             << "          \"budget\": " << cell.max_rounds << ",\n"
             << "          \"trials\": " << cell_trials(cell) << ",\n"
-            << "          \"seed_stream\": \"" << hex(cell.seed_stream)
+            << "          \"seed_stream\": \"" << ch::hex(cell.seed_stream)
             << "\",\n"
             << "          \"cell_seed\": \""
-            << hex(crp::channel::derive_stream_seed(options.seed,
-                                                    cell.seed_stream))
+            << ch::hex(crp::channel::derive_stream_seed(options.seed,
+                                                        cell.seed_stream))
             << "\"\n"
             << "        }";
       }
@@ -538,7 +533,7 @@ int plan_mode(const Options& options) {
   } else {
     out << "grid: " << grid.label << "\n"
         << "cells: " << grid.cells.size() << ", fingerprint "
-        << hex(fingerprint) << ", master seed " << hex(options.seed)
+        << ch::hex(fingerprint) << ", master seed " << ch::hex(options.seed)
         << ", default trials " << options.trials << ", shards "
         << options.plan_shard_count << "\n";
     for (const ch::ShardPlan& plan : plans) {
@@ -551,9 +546,9 @@ int plan_mode(const Options& options) {
             << cell.algorithm.name << "\", sizes \"" << cell.sizes.name
             << "\", budget " << cell.max_rounds << ", trials "
             << cell_trials(cell) << ", seed_stream "
-            << hex(cell.seed_stream) << ", cell_seed "
-            << hex(crp::channel::derive_stream_seed(options.seed,
-                                                    cell.seed_stream))
+            << ch::hex(cell.seed_stream) << ", cell_seed "
+            << ch::hex(crp::channel::derive_stream_seed(options.seed,
+                                                        cell.seed_stream))
             << "\n";
       }
     }
