@@ -13,7 +13,9 @@
 // Also exercises the Theorem 3.3 foundation: non-interactive contention
 // resolution needs >= log n advice bits.
 #include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -21,13 +23,16 @@
 
 #include "bench_util.h"
 
+#include "channel/engine.h"
 #include "channel/rng.h"
 #include "core/advice.h"
 #include "core/advice_deterministic.h"
 #include "core/advice_randomized.h"
 #include "core/faulty_advice.h"
 #include "harness/fit.h"
+#include "harness/grids.h"
 #include "harness/measure.h"
+#include "harness/parallel.h"
 #include "harness/sweep.h"
 #include "harness/table.h"
 #include "info/distribution.h"
@@ -238,6 +243,42 @@ void BM_Table2CdTreeSweep(benchmark::State& state) {
   run_cd_sweep(state, crp::harness::CdEngine::kHistoryTree);
 }
 BENCHMARK(BM_Table2CdTreeSweep)->Unit(benchmark::kMillisecond);
+
+// One layer below BM_Table2CdSweepSimulated: the per-round CD
+// simulator (CollisionPolicyColumnarEngine::run_many) on 1,024-trial
+// blocks of a coded-search cell — Table 1's H = 4 point at n = 2^16,
+// sizes drawn, budget 2^14, the cell shape `--cd-engine simulate`
+// sweeps spend their time in. Each block is a fresh run_many call, so
+// the per-trial stream seeding and the block-scoped policy memo and
+// samplers are all inside the timed region.
+void BM_CdSimulateBlock(benchmark::State& state) {
+  const auto points = crp::harness::table1_entropy_points(1 << 16);
+  const auto& point = points.back();
+  const crp::channel::CollisionPolicyColumnarEngine engine(point.policy);
+  constexpr std::size_t kBlock = crp::harness::kTrialBlockSize;
+  std::vector<std::uint8_t> solved(kBlock);
+  std::vector<std::uint64_t> rounds(kBlock);
+  crp::channel::TrialBlock block{.seed = kSeed,
+                                 .max_rounds = 1 << 14,
+                                 .sizes = {.distribution = &point.actual},
+                                 .solved = solved,
+                                 .rounds = rounds};
+  for (int i = 0; i < 4; ++i) {
+    engine.run_many(block);
+    block.first_trial += kBlock;
+  }
+  for (auto _ : state) {
+    engine.run_many(block);
+    block.first_trial += kBlock;
+    benchmark::DoNotOptimize(rounds.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_trial"] = benchmark::Counter(
+      1e-9 * kBlock,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CdSimulateBlock)->Unit(benchmark::kMicrosecond);
 
 void BM_SubtreeScanWorstCase(benchmark::State& state) {
   constexpr std::size_t n = 1 << 10;

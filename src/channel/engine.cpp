@@ -4,8 +4,9 @@
 #include <bit>
 #include <limits>
 #include <memory>
-#include <random>
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "channel/rng.h"
@@ -27,17 +28,20 @@ void validate_trial_block(const TrialBlock& block) {
 namespace {
 
 /// Shared body of the exact-simulator adapters: per trial, one derived
-/// mt19937_64 stream feeding the k draw (when drawn) and the scalar
-/// run — exactly the draw order of the scalar Trial path, so results
-/// are bit-identical to it.
+/// stream feeding the k draw (when drawn) and the scalar run — exactly
+/// the draw order of the scalar Trial path, so results are
+/// bit-identical to it. The stream is derive_rng's, lazily seeded
+/// (LazyMt19937_64), and the k draw is the one canonical uniform
+/// SizeDistribution::sample takes.
 template <typename Run>
 void run_scalar_adapter(TrialBlock& block, const Run& run) {
   validate_trial_block(block);
   const info::SizeDistribution* dist = block.sizes.distribution;
   const SimOptions options{.max_rounds = block.max_rounds};
   for (std::size_t t = 0; t < block.size(); ++t) {
-    auto rng = derive_rng(block.seed, block.first_trial + t);
-    const std::size_t k = dist ? dist->sample(rng) : block.sizes.fixed_k;
+    auto rng = derive_lazy_rng(block.seed, block.first_trial + t);
+    const std::size_t k =
+        dist ? dist->sample_at(canonical_unit(rng())) : block.sizes.fixed_k;
     const RunResult result = run(k, rng, options);
     block.solved[t] = result.solved ? 1 : 0;
     block.rounds[t] = result.rounds;
@@ -46,6 +50,58 @@ void run_scalar_adapter(TrialBlock& block, const Run& run) {
     }
   }
 }
+
+/// Block-scoped memo of a CD policy: a trie over the collision
+/// histories the block's trials visit, each node holding
+/// policy.probability(history). Policies such as CodedSearchPolicy
+/// replay the whole history on every call, while one block's trials
+/// revisit a few thousand short histories. It relies on what
+/// HistoryTreeEngine already assumes — probability() is a pure function
+/// of the history — and on run_uniform_cd's call pattern: each call's
+/// history is empty (a trial starts) or extends the previous call's by
+/// one bit. Past kMaxNodes nodes a trial that leaves the trie asks the
+/// policy directly for the rest of its rounds.
+class MemoizedPolicy final : public CollisionPolicy {
+ public:
+  explicit MemoizedPolicy(const CollisionPolicy& policy) : policy_(policy) {}
+
+  double probability(const BitString& history) const override {
+    if (history.empty()) {
+      if (nodes_.empty()) nodes_.push_back(Node{policy_.probability(history)});
+      node_ = 0;
+      return nodes_[0].p;
+    }
+    if (node_ == kOffTrie) return policy_.probability(history);
+    const bool collision = history.back();
+    std::uint32_t next = nodes_[node_].child[collision];
+    if (next == 0) {  // the root is nobody's child, so 0 means none
+      if (nodes_.size() == kMaxNodes) {
+        node_ = kOffTrie;
+        return policy_.probability(history);
+      }
+      next = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(Node{policy_.probability(history)});
+      nodes_[node_].child[collision] = next;
+    }
+    node_ = next;
+    return nodes_[next].p;
+  }
+
+  std::string name() const override { return policy_.name(); }
+
+ private:
+  static constexpr std::size_t kMaxNodes = 4096;
+  static constexpr std::uint32_t kOffTrie = ~std::uint32_t{0};
+
+  struct Node {
+    double p;
+    std::uint32_t child[2] = {0, 0};  ///< after silence, after collision
+  };
+
+  const CollisionPolicy& policy_;
+  mutable std::vector<Node> nodes_;
+  mutable std::uint32_t node_ = 0;  ///< the last call's history
+};
 
 }  // namespace
 
@@ -70,7 +126,7 @@ void lower_bound_column(std::span<const double> sorted,
 
 void run_adapter_block(
     TrialBlock& block,
-    const std::function<RunResult(std::size_t k, std::mt19937_64& rng,
+    const std::function<RunResult(std::size_t k, LazyMt19937_64& rng,
                                   const SimOptions& options)>& run) {
   run_scalar_adapter(block, run);
 }
@@ -170,23 +226,29 @@ void BatchColumnarEngine::run_many(TrialBlock& block) const {
 }
 
 void BinomialColumnarEngine::run_many(TrialBlock& block) const {
-  run_scalar_adapter(block, [this](std::size_t k, std::mt19937_64& rng,
+  run_scalar_adapter(block, [this](std::size_t k, LazyMt19937_64& rng,
                                    const SimOptions& options) {
     return run_uniform_no_cd(schedule_, k, rng, options);
   });
 }
 
 void PerPlayerColumnarEngine::run_many(TrialBlock& block) const {
-  run_scalar_adapter(block, [this](std::size_t k, std::mt19937_64& rng,
+  run_scalar_adapter(block, [this](std::size_t k, LazyMt19937_64& rng,
                                    const SimOptions& options) {
     return run_uniform_no_cd_per_player(schedule_, k, rng, options);
   });
 }
 
 void CollisionPolicyColumnarEngine::run_many(TrialBlock& block) const {
-  run_scalar_adapter(block, [this](std::size_t k, std::mt19937_64& rng,
-                                   const SimOptions& options) {
-    return run_uniform_cd(policy_, k, rng, options);
+  // Block-scoped, so the engine stays stateless: the policy memo, and
+  // one sampler per k reused across the block's trials.
+  const MemoizedPolicy policy(policy_);
+  std::unordered_map<std::size_t, TransmitterSampler> samplers;
+  run_scalar_adapter(block, [&](std::size_t k, LazyMt19937_64& rng,
+                                const SimOptions& options) {
+    TransmitterSampler& sample = samplers.try_emplace(k, k).first->second;
+    sample.begin_trial();
+    return run_uniform_cd(policy, sample, rng, options);
   });
 }
 

@@ -22,8 +22,9 @@
 ///
 /// Thread-safety: every Engine must be safe to call concurrently on
 /// disjoint blocks; the engines here are (the analytic engine's table
-/// cache is internally synchronized, the adapters are stateless per
-/// call).
+/// cache is internally synchronized; the adapters keep no state between
+/// calls, and the CD adapter's memo and samplers are locals of one
+/// run_many call).
 ///
 /// Determinism: an engine derives trial t's randomness only from
 /// (block.seed, block.first_trial + t) — the same streams the scalar
@@ -37,11 +38,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <random>
 #include <span>
 
 #include "channel/batch.h"
 #include "channel/protocol.h"
+#include "channel/rng.h"
 #include "channel/simulator.h"
 #include "info/distribution.h"
 
@@ -102,16 +103,18 @@ void lower_bound_column(std::span<const double> sorted,
                         std::span<std::uint32_t> slot);
 
 /// Shared run_many() body for adapter engines built on the exact
-/// simulators: validates the block, then per trial derives one
-/// mt19937_64 stream feeding the k draw (when sizes are drawn) and
-/// `run(k, rng, options)`, and writes the result columns. Custom
+/// simulators: validates the block, then per trial derives one stream
+/// — derive_rng's, lazily seeded (LazyMt19937_64 in channel/rng.h: the
+/// same draws, a fraction of the seeding cost) — feeding the k draw
+/// (when sizes are drawn) and `run(k, rng, options)`, and writes the
+/// result columns. Custom
 /// adapters outside this header (e.g. the advice-protocol engine in
 /// harness/measure.cpp) call this instead of re-implementing the
 /// loop; the std::function indirection is per block call, and the
 /// exact simulators dwarf the one virtual dispatch per trial.
 void run_adapter_block(
     TrialBlock& block,
-    const std::function<RunResult(std::size_t k, std::mt19937_64& rng,
+    const std::function<RunResult(std::size_t k, LazyMt19937_64& rng,
                                   const SimOptions& options)>& run);
 
 /// Analytic no-CD engine (the default fast path): one SplitMix64
@@ -137,8 +140,8 @@ class BatchColumnarEngine final : public Engine {
 };
 
 /// Adapter: drives the exact binomial simulator trial by trial with
-/// one derived mt19937_64 stream per trial — bit-compatible with the
-/// scalar Trial path it replaces.
+/// one derived stream per trial (run_adapter_block's) — bit-compatible
+/// with the scalar Trial path it replaces.
 class BinomialColumnarEngine final : public Engine {
  public:
   /// The schedule must outlive the engine.
@@ -171,6 +174,14 @@ class PerPlayerColumnarEngine final : public Engine {
 /// HistoryTreeEngine, which samples from a cached expansion of the
 /// same chain (and falls back to this adapter's per-round semantics
 /// wherever the expansion cannot answer exactly).
+///
+/// Same stream contract as BinomialColumnarEngine. For the span of one
+/// run_many call it also keeps a trie memoizing policy.probability()
+/// per collision history (at most 4,096 nodes; past that, trials ask
+/// the policy directly) and one TransmitterSampler per k reused across
+/// the block's trials. Both leave every draw as it is: the memo
+/// assumes probability() is a pure function of the history, as
+/// HistoryTreeEngine does, and the samplers reset per trial.
 class CollisionPolicyColumnarEngine final : public Engine {
  public:
   /// The policy must outlive the engine.

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <random>
 
@@ -33,14 +34,14 @@ inline std::mt19937_64 derive_rng(std::uint64_t seed, std::uint64_t stream) {
   return std::mt19937_64{derive_stream_seed(seed, stream)};
 }
 
-/// A splitmix64 engine: one add and a three-stage mix per draw, and —
-/// unlike mt19937_64, whose construction runs a 312-word key expansion
-/// plus a full twist on the first draw (~microseconds) — free to seed.
-/// That fixed cost is irrelevant when a trial simulates hundreds of
-/// rounds but dominates once the batch engine (channel/batch.h) prices
-/// a whole trial at two or three draws, so the batch measurement paths
-/// derive one of these per trial instead. Satisfies
-/// std::uniform_random_bit_generator.
+/// A splitmix64 engine: one add and a three-stage mix per draw, and
+/// free to seed. A std::mt19937_64 runs a 312-word serial key
+/// expansion at construction and a full 312-word twist on its first
+/// draw (~2.8 µs for seeding plus 25 draws on a 4-CPU AVX-512 Xeon);
+/// LazyMt19937_64 below brings the same stream down to ~0.6 µs, but a
+/// batch-engine trial (channel/batch.h) costs two or three draws, so
+/// the batch measurement paths derive one of these per trial instead.
+/// Satisfies std::uniform_random_bit_generator.
 class SplitMix64 {
  public:
   using result_type = std::uint64_t;
@@ -60,6 +61,109 @@ class SplitMix64 {
  private:
   std::uint64_t state_;
 };
+
+/// std::mt19937_64{seed}, draw for draw, with the seeding work done
+/// only as far as the draws taken so far need it. The standard engine
+/// expands the whole 312-word key at construction and twists all 312
+/// words on the first draw, but an exact-simulator trial takes ~10–30
+/// draws. The twist of word i reads key words i, i + 1 and
+/// (i + 156) mod 312 — words below i already twisted, the others still
+/// original — so draw i of the first pass only needs the key expanded
+/// through word min(i + 156, 311) and word i twisted in place: the
+/// full twist's loop runs in exactly that order, so every draw equals
+/// the standard engine's by construction. From draw 312 on the engine
+/// twists whole blocks like the standard one. Satisfies
+/// std::uniform_random_bit_generator (tests/rng_test.cpp pins the
+/// stream word for word and through the standard distributions).
+class LazyMt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit LazyMt19937_64(std::uint64_t seed) { x_[0] = seed; }
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~std::uint64_t{0}; }
+
+  result_type operator()() {
+    std::uint32_t i = next_;
+    if (first_pass_) {
+      expand_through(std::min(i + kShift, kWords - 1));
+      x_[i] = twisted(x_[i], x_[i + 1 == kWords ? 0 : i + 1],
+                      x_[i < kWords - kShift ? i + kShift
+                                             : i - (kWords - kShift)]);
+      first_pass_ = i + 1 < kWords;
+    } else if (i == kWords) {
+      twist_all();
+      i = 0;
+    }
+    next_ = i + 1;
+    return temper(x_[i]);
+  }
+
+ private:
+  static constexpr std::uint32_t kWords = 312;  // n
+  static constexpr std::uint32_t kShift = 156;  // m
+
+  /// std::mt19937_64's seeding recurrence, for words
+  /// [expanded_, last].
+  void expand_through(std::uint32_t last) {
+    std::uint32_t e = expanded_;
+    if (e > last) return;
+    std::uint64_t word = x_[e - 1];
+    for (; e <= last; ++e) {
+      word = 6364136223846793005ULL * (word ^ (word >> 62)) + e;
+      x_[e] = word;
+    }
+    expanded_ = e;
+  }
+
+  /// One word of the twist: `word` and `next` are state words i and
+  /// i + 1 (mod 312), `far` is word i + 156 (mod 312).
+  static std::uint64_t twisted(std::uint64_t word, std::uint64_t next,
+                               std::uint64_t far) {
+    const std::uint64_t y =
+        (word & ~0x7fffffffULL) | (next & 0x7fffffffULL);
+    return far ^ (y >> 1) ^ ((y & 1) ? 0xb5026f5aa96619e9ULL : 0);
+  }
+
+  /// The standard engine's whole-state twist, in its loop order.
+  void twist_all() {
+    std::uint32_t i = 0;
+    for (; i < kWords - kShift; ++i) {
+      x_[i] = twisted(x_[i], x_[i + 1], x_[i + kShift]);
+    }
+    for (; i < kWords - 1; ++i) {
+      x_[i] = twisted(x_[i], x_[i + 1], x_[i - (kWords - kShift)]);
+    }
+    x_[kWords - 1] = twisted(x_[kWords - 1], x_[0], x_[kShift - 1]);
+  }
+
+  static std::uint64_t temper(std::uint64_t z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  std::uint64_t x_[kWords] = {};
+  std::uint32_t expanded_ = 1;  ///< key words [0, expanded_) are computed
+  std::uint32_t next_ = 0;      ///< index of the next draw's word
+  bool first_pass_ = true;      ///< draws [0, 312) still twist lazily
+};
+
+/// The per-trial stream of the exact-simulator adapters
+/// (channel/engine.h): derive_rng's stream, lazily seeded.
+inline LazyMt19937_64 derive_lazy_rng(std::uint64_t seed,
+                                      std::uint64_t stream) {
+  return LazyMt19937_64{derive_stream_seed(seed, stream)};
+}
+
+/// The engines the exact simulators (channel/simulator.h) are compiled
+/// for: std::mt19937_64 for direct callers, and its lazily seeded
+/// twin for the columnar adapters.
+template <typename G>
+concept TrialStream =
+    std::same_as<G, std::mt19937_64> || std::same_as<G, LazyMt19937_64>;
 
 /// The canonical [0, 1) uniform the batch paths build from one 64-bit
 /// draw: bit-identical to std::uniform_real_distribution<double>(0, 1)

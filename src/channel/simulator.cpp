@@ -1,6 +1,8 @@
 #include "channel/simulator.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace crp::channel {
 
@@ -37,19 +39,42 @@ std::size_t sample_transmitters(std::size_t k, double p,
   return binomial(rng);
 }
 
-std::size_t TransmitterSampler::operator()(double p, std::mt19937_64& rng) {
-  for (auto& [probability, binomial] : cache_) {
-    if (probability == p) return binomial(rng);
+template <TrialStream Rng>
+std::size_t TransmitterSampler::operator()(double p, Rng& rng) {
+  for (Entry& entry : cache_) {
+    if (entry.p != p) continue;
+    if (entry.trial != trial_) {
+      // First use in this trial: a fresh sampler would hold a freshly
+      // constructed distribution here — or, past the cap, construct
+      // one per call, so the entry stays unclaimed and is reset again.
+      entry.binomial.reset();
+      if (claimed_ < kMaxCachedProbabilities) {
+        entry.trial = trial_;
+        ++claimed_;
+      }
+    }
+    return entry.binomial(rng);
   }
   validate_probability(p);
   if (k_ == 0 || p == 0.0) return 0;
   if (p == 1.0) return k_;
-  if (cache_.size() == kMaxCachedProbabilities) {
+  if (claimed_ == kMaxCachedProbabilities) {
     std::binomial_distribution<std::size_t> binomial(k_, p);
     return binomial(rng);
   }
-  cache_.emplace_back(p, std::binomial_distribution<std::size_t>(k_, p));
-  return cache_.back().second(rng);
+  ++claimed_;
+  Entry fresh{p, trial_, std::binomial_distribution<std::size_t>(k_, p)};
+  if (cache_.size() < kMaxCachedProbabilities) {
+    cache_.push_back(std::move(fresh));
+    return cache_.back().binomial(rng);
+  }
+  // Full: fewer than kMaxCachedProbabilities entries are claimed by
+  // this trial, so an earlier trial's entry is free to replace.
+  Entry& stale = *std::find_if(
+      cache_.begin(), cache_.end(),
+      [&](const Entry& entry) { return entry.trial != trial_; });
+  stale = std::move(fresh);
+  return stale.binomial(rng);
 }
 
 namespace {
@@ -63,8 +88,9 @@ void record(const SimOptions& options, double p, std::size_t transmitters) {
 
 }  // namespace
 
+template <TrialStream Rng>
 RunResult run_uniform_no_cd(const ProbabilitySchedule& schedule,
-                            std::size_t k, std::mt19937_64& rng,
+                            std::size_t k, Rng& rng,
                             const SimOptions& options) {
   if (k == 0) throw std::invalid_argument("need at least one participant");
   TransmitterSampler sample(k);
@@ -81,10 +107,18 @@ RunResult run_uniform_no_cd(const ProbabilitySchedule& schedule,
   return RunResult{false, options.max_rounds, std::nullopt, energy};
 }
 
+template <TrialStream Rng>
 RunResult run_uniform_cd(const CollisionPolicy& policy, std::size_t k,
-                         std::mt19937_64& rng, const SimOptions& options) {
+                         Rng& rng, const SimOptions& options) {
   if (k == 0) throw std::invalid_argument("need at least one participant");
   TransmitterSampler sample(k);
+  return run_uniform_cd(policy, sample, rng, options);
+}
+
+template <TrialStream Rng>
+RunResult run_uniform_cd(const CollisionPolicy& policy,
+                         TransmitterSampler& sample, Rng& rng,
+                         const SimOptions& options) {
   BitString history;
   history.reserve(64);
   std::size_t energy = 0;
@@ -134,8 +168,9 @@ RunResult run_deterministic(const DeterministicProtocol& protocol,
   return RunResult{false, options.max_rounds, std::nullopt, energy};
 }
 
+template <TrialStream Rng>
 RunResult run_uniform_no_cd_per_player(const ProbabilitySchedule& schedule,
-                                       std::size_t k, std::mt19937_64& rng,
+                                       std::size_t k, Rng& rng,
                                        const SimOptions& options) {
   if (k == 0) throw std::invalid_argument("need at least one participant");
   std::uniform_real_distribution<double> unit(0.0, 1.0);
@@ -159,5 +194,27 @@ RunResult run_uniform_no_cd_per_player(const ProbabilitySchedule& schedule,
   }
   return RunResult{false, options.max_rounds, std::nullopt, energy};
 }
+
+// The two TrialStream engines (see simulator.h).
+template std::size_t TransmitterSampler::operator()(double, std::mt19937_64&);
+template RunResult run_uniform_no_cd(const ProbabilitySchedule&, std::size_t,
+                                     std::mt19937_64&, const SimOptions&);
+template RunResult run_uniform_cd(const CollisionPolicy&, std::size_t,
+                                  std::mt19937_64&, const SimOptions&);
+template RunResult run_uniform_cd(const CollisionPolicy&, TransmitterSampler&,
+                                  std::mt19937_64&, const SimOptions&);
+template RunResult run_uniform_no_cd_per_player(const ProbabilitySchedule&,
+                                                std::size_t, std::mt19937_64&,
+                                                const SimOptions&);
+template std::size_t TransmitterSampler::operator()(double, LazyMt19937_64&);
+template RunResult run_uniform_no_cd(const ProbabilitySchedule&, std::size_t,
+                                     LazyMt19937_64&, const SimOptions&);
+template RunResult run_uniform_cd(const CollisionPolicy&, std::size_t,
+                                  LazyMt19937_64&, const SimOptions&);
+template RunResult run_uniform_cd(const CollisionPolicy&, TransmitterSampler&,
+                                  LazyMt19937_64&, const SimOptions&);
+template RunResult run_uniform_no_cd_per_player(const ProbabilitySchedule&,
+                                                std::size_t, LazyMt19937_64&,
+                                                const SimOptions&);
 
 }  // namespace crp::channel

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "channel/protocol.h"
+#include "channel/rng.h"
 
 namespace crp::channel {
 
@@ -50,19 +51,27 @@ struct SimOptions {
   ExecutionTrace* trace = nullptr;
 };
 
+// The randomized simulators are templates over the engine, compiled
+// (in simulator.cpp) for the two TrialStream engines of channel/rng.h:
+// std::mt19937_64 for direct callers, and LazyMt19937_64 — the same
+// stream, cheaper to seed — for the columnar adapters
+// (channel/engine.h). Either engine gives the same result at the same
+// seed.
+
 /// Runs a uniform no-collision-detection algorithm with k participants.
 /// Requires k >= 1 (with k == 1 every positive-probability round can
 /// succeed immediately, matching the "extra all-transmit round" the
 /// paper uses to dispose of k = 1).
+template <TrialStream Rng>
 RunResult run_uniform_no_cd(const ProbabilitySchedule& schedule,
-                            std::size_t k, std::mt19937_64& rng,
+                            std::size_t k, Rng& rng,
                             const SimOptions& options = {});
 
 /// Runs a uniform collision-detection algorithm with k participants.
 /// The policy sees the growing collision history (bit = collision?).
+template <TrialStream Rng>
 RunResult run_uniform_cd(const CollisionPolicy& policy, std::size_t k,
-                         std::mt19937_64& rng,
-                         const SimOptions& options = {});
+                         Rng& rng, const SimOptions& options = {});
 
 /// Runs a deterministic protocol over an explicit participant set.
 /// `collision_detection` selects what the players observe: with it off,
@@ -78,8 +87,9 @@ RunResult run_deterministic(const DeterministicProtocol& protocol,
 /// Per-player engine for *uniform* algorithms: every participant flips
 /// its own coin. Statistically identical to the binomial engine; used
 /// to cross-validate it and by examples that want per-player traces.
+template <TrialStream Rng>
 RunResult run_uniform_no_cd_per_player(const ProbabilitySchedule& schedule,
-                                       std::size_t k, std::mt19937_64& rng,
+                                       std::size_t k, Rng& rng,
                                        const SimOptions& options = {});
 
 /// Throws std::invalid_argument unless p lies in [0, 1]. The one
@@ -99,23 +109,56 @@ std::size_t sample_transmitters(std::size_t k, double p,
 /// Cycling schedules revisit a small set of probabilities, so the
 /// per-round distribution construction (and re-validation of p) is paid
 /// once per distinct probability instead of once per round.
+///
+/// One sampler may also serve many trials in turn (the CD adapter in
+/// channel/engine.cpp keeps one per k for a block): begin_trial() makes
+/// every later draw equal a freshly constructed sampler's. A cached
+/// distribution is reset() on its first use in a trial — a binomial
+/// with np >= 8 keeps a spare normal variate between calls — and the
+/// cap on cached probabilities counts per trial, as it would for a
+/// fresh sampler.
 class TransmitterSampler {
  public:
   explicit TransmitterSampler(std::size_t k) : k_(k) {}
 
   /// Number of transmitters among the k players when each transmits
   /// independently with probability p.
-  std::size_t operator()(double p, std::mt19937_64& rng);
+  template <TrialStream Rng>
+  std::size_t operator()(double p, Rng& rng);
+
+  /// Starts a new trial (see the class comment).
+  void begin_trial() {
+    ++trial_;
+    claimed_ = 0;
+  }
 
  private:
   /// Adversarial CD policies may emit unboundedly many distinct
-  /// probabilities; past this many the sampler stops caching.
+  /// probabilities; past this many in one trial the sampler draws from
+  /// a fresh distribution per call, and it never holds more than this
+  /// many.
   static constexpr std::size_t kMaxCachedProbabilities = 64;
 
+  struct Entry {
+    double p;
+    std::uint64_t trial;  ///< the trial that last claimed this entry
+    std::binomial_distribution<std::size_t> binomial;
+  };
+
   std::size_t k_;
-  std::vector<std::pair<double, std::binomial_distribution<std::size_t>>>
-      cache_;
+  std::uint64_t trial_ = 0;
+  std::size_t claimed_ = 0;  ///< entries claimed by the current trial
+  std::vector<Entry> cache_;
 };
+
+/// run_uniform_cd with a caller-owned sampler, for callers that reuse
+/// one sampler across trials (channel/engine.cpp's CD adapter); the
+/// sampler's k must be at least 1, and begin_trial() must separate
+/// trials. The same draws as the k overload.
+template <TrialStream Rng>
+RunResult run_uniform_cd(const CollisionPolicy& policy,
+                         TransmitterSampler& sample, Rng& rng,
+                         const SimOptions& options = {});
 
 /// Maps a transmitter count to channel feedback.
 Feedback feedback_for(std::size_t transmitters);

@@ -35,9 +35,10 @@ Measurement measure_uniform(const channel::ProbabilitySchedule* schedule,
 }
 
 /// Columnar adapter for the Section 3 advice protocols: per trial, one
-/// derived mt19937_64 stream draws the participant count, the
-/// participant set, and runs the protocol on the advice — the same
-/// draw order as the scalar Trial path it replaces.
+/// derived stream (run_adapter_block's lazily seeded mt19937_64) draws
+/// the participant count, the participant set, and runs the protocol
+/// on the advice — the same draws, in the same order, as the scalar
+/// Trial path it replaces.
 class DeterministicAdviceEngine final : public channel::Engine {
  public:
   DeterministicAdviceEngine(const channel::DeterministicProtocol& protocol,
@@ -50,7 +51,7 @@ class DeterministicAdviceEngine final : public channel::Engine {
 
   void run_many(channel::TrialBlock& block) const override {
     channel::run_adapter_block(
-        block, [this](std::size_t k, std::mt19937_64& rng,
+        block, [this](std::size_t k, channel::LazyMt19937_64& rng,
                       const channel::SimOptions& options) {
           const auto participants = random_participant_set(n_, k, rng);
           const auto bits = advice_.advise(participants);
@@ -455,8 +456,9 @@ Measurement measure_uniform_cd_fixed_k(const channel::CollisionPolicy& policy,
                          trials, seed, options);
 }
 
+template <channel::TrialStream Rng>
 std::vector<std::size_t> random_participant_set(std::size_t n, std::size_t k,
-                                                std::mt19937_64& rng) {
+                                                Rng& rng) {
   if (k > n) throw std::invalid_argument("cannot pick k > n participants");
   // Partial Fisher-Yates over the id space.
   std::vector<std::size_t> ids(n);
@@ -468,6 +470,12 @@ std::vector<std::size_t> random_participant_set(std::size_t n, std::size_t k,
   ids.resize(k);
   return ids;
 }
+
+template std::vector<std::size_t> random_participant_set(std::size_t,
+                                                         std::size_t,
+                                                         std::mt19937_64&);
+template std::vector<std::size_t> random_participant_set(
+    std::size_t, std::size_t, channel::LazyMt19937_64&);
 
 Measurement measure_deterministic_advice(
     const channel::DeterministicProtocol& protocol,

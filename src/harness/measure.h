@@ -26,6 +26,7 @@
 
 #include "channel/engine.h"
 #include "channel/protocol.h"
+#include "channel/rng.h"
 #include "channel/simulator.h"
 #include "core/advice.h"
 #include "harness/accumulate.h"
@@ -237,9 +238,11 @@ Measurement measure_uniform_cd_fixed_k(const channel::CollisionPolicy& policy,
                                        std::uint64_t seed,
                                        const MeasureOptions& options);
 
-/// Draws a uniformly random k-subset of {0, ..., n-1}.
+/// Draws a uniformly random k-subset of {0, ..., n-1}. Compiled for
+/// both TrialStream engines (channel/rng.h).
+template <channel::TrialStream Rng>
 std::vector<std::size_t> random_participant_set(std::size_t n, std::size_t k,
-                                                std::mt19937_64& rng);
+                                                Rng& rng);
 
 /// Deterministic advice protocol: per trial, draw k from `actual`, draw
 /// a random participant set of that size, compute advice, run.

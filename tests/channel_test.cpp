@@ -1,6 +1,8 @@
 #include "channel/simulator.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -62,6 +64,48 @@ TEST(SampleTransmitters, MeanMatchesBinomial) {
     total += static_cast<double>(sample_transmitters(20, 0.3, rng));
   }
   EXPECT_NEAR(total / kTrials, 6.0, 0.05);
+}
+
+TEST(TransmitterSampler, ReusedAcrossTrialsDrawsLikeAFreshSampler) {
+  // One sampler serving trial after trial (begin_trial() between them)
+  // must draw what a fresh sampler per trial draws. The probabilities
+  // mix np < 8 and np >= 8 (whose binomial keeps a spare normal
+  // variate between calls), repeat within a trial, include 0 and 1,
+  // and exceed the 64-per-trial cache in some trials, so the cap and
+  // the replacement of earlier trials' entries both run.
+  constexpr std::size_t k = 40;
+  std::vector<double> pool;
+  for (int i = 0; i < 200; ++i) pool.push_back(0.01 + 0.0045 * i);
+  pool[17] = 0.0;
+  pool[91] = 1.0;
+  TransmitterSampler reused(k);
+  std::size_t long_trials = 0;
+  for (std::size_t trial = 0; trial < 300; ++trial) {
+    // Consecutive rounds share a probability; every third trial draws
+    // from the whole pool, the others from its first 30 entries.
+    const std::size_t rounds = 20 + (trial * 37) % 250;
+    const std::size_t width = trial % 3 == 0 ? pool.size() : 30;
+    std::vector<double> ps;
+    for (std::size_t r = 0; r < rounds; ++r) {
+      ps.push_back(pool[derive_stream_seed(trial, r / 2) % width]);
+    }
+    std::vector<double> distinct = ps;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    if (distinct.size() > 66) ++long_trials;
+
+    TransmitterSampler fresh(k);
+    auto rng_fresh = derive_rng(77, trial);
+    auto rng_reused = derive_rng(77, trial);
+    reused.begin_trial();
+    for (std::size_t r = 0; r < rounds; ++r) {
+      ASSERT_EQ(reused(ps[r], rng_reused), fresh(ps[r], rng_fresh))
+          << "trial " << trial << " round " << r << " p " << ps[r];
+    }
+    ASSERT_EQ(rng_reused(), rng_fresh());
+  }
+  EXPECT_GT(long_trials, 20u);
 }
 
 TEST(RunUniformNoCd, SingleParticipantSucceedsImmediately) {

@@ -9,8 +9,11 @@
 //  * regression: the compatibility shims preserve PR 1's published
 //    fixed-seed statistics (golden values captured from the PR 1
 //    binary before the refactor).
+#include <algorithm>
 #include <cmath>
 #include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include "channel/engine.h"
 #include "channel/rng.h"
 #include "channel/simulator.h"
+#include "core/coded_search.h"
 #include "core/advice_deterministic.h"
 #include "core/likelihood_schedule.h"
 #include "harness/measure.h"
@@ -141,6 +145,146 @@ TEST(ColumnarEngine, CdAdapterMatchesScalarTrialLoop) {
       MeasureOptions{
           .max_rounds = 1 << 12, .threads = 1, .keep_samples = true});
   expect_identical(scalar, columnar);
+}
+
+// ---- CD adapter, column by column ---------------------------------
+//
+// CollisionPolicyColumnarEngine keeps block-scoped state (a history
+// trie memoizing the policy, one reused TransmitterSampler per k) and
+// draws from a lazily seeded stream; none of it may change a single
+// result. Each case compares the engine's three columns, element by
+// element, with a per-trial std::mt19937_64 + run_uniform_cd loop.
+
+/// A constant-probability CD policy.
+class ConstantPolicy final : public channel::CollisionPolicy {
+ public:
+  explicit ConstantPolicy(double p) : p_(p) {}
+  double probability(const channel::BitString&) const override {
+    return p_;
+  }
+  std::string name() const override { return "constant"; }
+
+ private:
+  double p_;
+};
+
+/// A probability in [0.1, 0.4] that changes with the round and the
+/// collision count: trials run long (k = 40 rarely succeeds) and see
+/// more than 64 distinct probabilities, with np both below and above
+/// the binomial's np = 8 switch.
+class DriftingPolicy final : public channel::CollisionPolicy {
+ public:
+  double probability(const channel::BitString& history) const override {
+    const auto collisions = static_cast<double>(
+        std::count(history.begin(), history.end(), true));
+    const double x = 0.6180339887 * static_cast<double>(history.size()) +
+                     0.4142135623 * collisions;
+    return 0.1 + 0.3 * (x - std::floor(x));
+  }
+  std::string name() const override { return "drifting"; }
+};
+
+/// Runs the CD adapter on one block and compares all three columns with
+/// the scalar loop; returns the most distinct probabilities any trial
+/// of the scalar loop used.
+std::size_t expect_cd_columns_match(const channel::CollisionPolicy& policy,
+                                    channel::SizeSource sizes,
+                                    std::size_t max_rounds,
+                                    std::uint64_t seed,
+                                    std::size_t first_trial,
+                                    std::size_t count) {
+  std::vector<std::uint8_t> solved(count, 7);
+  std::vector<std::uint64_t> rounds(count, 7), transmissions(count, 7);
+  channel::TrialBlock block{.seed = seed,
+                            .first_trial = first_trial,
+                            .max_rounds = max_rounds,
+                            .sizes = sizes,
+                            .solved = solved,
+                            .rounds = rounds,
+                            .transmissions = transmissions};
+  const channel::CollisionPolicyColumnarEngine engine(policy);
+  engine.run_many(block);
+  std::size_t most_distinct = 0;
+  for (std::size_t t = 0; t < count; ++t) {
+    auto rng = channel::derive_rng(seed, first_trial + t);
+    const std::size_t k = sizes.distribution != nullptr
+                              ? sizes.distribution->sample(rng)
+                              : sizes.fixed_k;
+    channel::ExecutionTrace trace;
+    const auto run = channel::run_uniform_cd(
+        policy, k, rng, {.max_rounds = max_rounds, .trace = &trace});
+    EXPECT_EQ(solved[t], run.solved ? 1 : 0) << "trial " << t;
+    EXPECT_EQ(rounds[t], run.rounds) << "trial " << t;
+    EXPECT_EQ(transmissions[t], run.transmissions) << "trial " << t;
+    std::vector<double> ps;
+    for (const auto& round : trace) ps.push_back(round.probability);
+    std::sort(ps.begin(), ps.end());
+    most_distinct = std::max<std::size_t>(
+        most_distinct, std::unique(ps.begin(), ps.end()) - ps.begin());
+  }
+  return most_distinct;
+}
+
+TEST(ColumnarEngine, CdAdapterColumnsMatchScalarLoop) {
+  constexpr std::size_t n = 1 << 12;
+  const auto actual = table1_sizes(n);
+  const core::CodedSearchPolicy coded(actual.condense());
+  const baselines::WillardPolicy willard(n);
+  for (const std::size_t budget : {1, 2, 7, 64}) {
+    for (const std::size_t count : {0, 1, 1023, 1025}) {
+      SCOPED_TRACE("budget " + std::to_string(budget) + ", " +
+                   std::to_string(count) + " trials");
+      expect_cd_columns_match(coded, channel::SizeSource{&actual, 0}, budget,
+                              411, 5000, count);
+      expect_cd_columns_match(willard, channel::SizeSource{nullptr, 60},
+                              budget, 412, 777, count);
+    }
+  }
+}
+
+TEST(ColumnarEngine, CdAdapterPastTheSamplerCap) {
+  // More than 64 distinct probabilities in one trial: the reused
+  // samplers must count their cache cap per trial, as a fresh one does.
+  const DriftingPolicy drifting;
+  const auto actual = table1_sizes(1 << 8);
+  EXPECT_GT(expect_cd_columns_match(drifting, channel::SizeSource{nullptr, 40},
+                                    300, 413, 2048, 1025),
+            64u);
+  EXPECT_GT(expect_cd_columns_match(drifting, channel::SizeSource{&actual, 0},
+                                    300, 414, 9, 1025),
+            64u);
+}
+
+TEST(ColumnarEngine, CdAdapterPastTheTrieCap) {
+  // p = 0 walks one all-silence history past the 4,096-node trie cap:
+  // the rest of the first trial and every later one ask the policy
+  // directly.
+  const ConstantPolicy never(0.0);
+  expect_cd_columns_match(never, channel::SizeSource{nullptr, 3}, 5000, 415,
+                          1, 3);
+}
+
+TEST(ColumnarEngine, CdAdapterDegenerateProbabilities) {
+  const ConstantPolicy always(1.0);
+  expect_cd_columns_match(always, channel::SizeSource{nullptr, 1}, 16, 416, 3,
+                          5);
+  expect_cd_columns_match(always, channel::SizeSource{nullptr, 3}, 16, 417, 3,
+                          5);
+
+  // p outside [0, 1] throws from the engine as from the scalar path.
+  const ConstantPolicy invalid(1.5);
+  std::vector<std::uint8_t> solved(4);
+  std::vector<std::uint64_t> rounds(4);
+  channel::TrialBlock block{.seed = 418,
+                            .max_rounds = 16,
+                            .sizes = channel::SizeSource{nullptr, 5},
+                            .solved = solved,
+                            .rounds = rounds};
+  const channel::CollisionPolicyColumnarEngine engine(invalid);
+  EXPECT_THROW(engine.run_many(block), std::invalid_argument);
+  auto rng = channel::derive_rng(418, 0);
+  EXPECT_THROW(channel::run_uniform_cd(invalid, 5, rng, {.max_rounds = 16}),
+               std::invalid_argument);
 }
 
 TEST(ColumnarEngine, BlockPartitionIsInvisible) {
