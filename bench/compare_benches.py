@@ -27,6 +27,9 @@ the two sides ran on different hardware.
 
 Benchmarks present on only one side are reported but never fail the
 check (new benchmarks land before their baselines do).
+
+A result file may hold repeated runs of one benchmark
+(--benchmark_repetitions); each side is then compared by its median.
 """
 
 import argparse
@@ -38,10 +41,16 @@ from statistics import median
 
 
 def load_benchmarks(path: Path) -> dict[str, float]:
-    """name -> real_time (ns), aggregate entries skipped."""
+    """name -> median real_time (ns) over the name's repetitions.
+
+    A file written with --benchmark_repetitions holds one entry per
+    repetition under the same name; all of them are folded into their
+    median. Aggregate entries (_mean, _median, _stddev, ...) are
+    skipped.
+    """
     with path.open() as f:
         data = json.load(f)
-    out = {}
+    runs: dict[str, list[float]] = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
@@ -49,8 +58,9 @@ def load_benchmarks(path: Path) -> dict[str, float]:
         unit = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[
             bench.get("time_unit", "ns")
         ]
-        out[bench["name"]] = float(bench["real_time"]) * unit
-    return out
+        runs.setdefault(bench["name"], []).append(
+            float(bench["real_time"]) * unit)
+    return {name: median(times) for name, times in runs.items()}
 
 
 def load_rss_counters(path: Path) -> dict[str, float]:

@@ -16,12 +16,13 @@
 // cells flow through shard planning, checkpoint journals, and
 // manifest-validated merges with no special cases.
 //
-// The reader follows the shard-manifest discipline (harness/shard.h):
-// unknown, duplicate, or missing fields, non-finite numerics, bare
-// words such as nan/inf, out-of-range values, and malformed hex are
-// all rejected with the offending field named plus its line/column —
-// never a crash, a silent default, or a silently different grid. The
-// grammar is documented in docs/GRIDSPEC.md; the short of it:
+// The reader is the strict JSON reader shard manifests use too
+// (harness/json.h): unknown, duplicate, or missing fields, non-finite
+// numerics, bare words such as nan/inf, out-of-range values, and
+// malformed hex are all rejected with the offending field named plus
+// its line/column — never a crash, a silent default, or a silently
+// different grid. The grammar is documented in docs/GRIDSPEC.md; the
+// short of it:
 //
 //   {
 //     "format": "crp-grid-spec-v1",

@@ -23,6 +23,7 @@
 #include "harness/csv.h"
 #include "harness/hash.h"
 #include "harness/journal.h"
+#include "harness/json.h"
 
 namespace crp::harness {
 

@@ -5,6 +5,7 @@
 // CSV-level merge, the manifest JSON round trip, and the merge
 // validation that rejects mismatched, overlapping, or gappy shard
 // sets with actionable errors.
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -343,11 +344,21 @@ void expect_throws_with(const Action& action, const std::string& needle) {
   }
 }
 
-TEST(ShardManifest, ParserRejectsMalformedInput) {
-  const auto parse = [](const std::string& text) {
-    std::istringstream in(text);
+/// Reads a manifest from text; every rejection, syntactic or
+/// schema-level, must carry its position.
+ShardManifest parse_manifest(const std::string& text) {
+  std::istringstream in(text);
+  try {
     return read_shard_manifest(in);
-  };
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("shard manifest: line", 0), 0u)
+        << error.what();
+    throw;
+  }
+}
+
+TEST(ShardManifest, ParserRejectsMalformedInput) {
+  const auto& parse = parse_manifest;
   ShardManifest manifest{.cell_seeds = {1, 2}};
   manifest.total_cells = 2;
   manifest.cell_end = 2;
@@ -396,6 +407,95 @@ TEST(ShardManifest, ParserRejectsMalformedInput) {
                    std::string("crp-shard-manifest-v1").size(),
                    "crp-shard-manifest-v999");
     expect_throws_with([&] { (void)parse(format); }, "format");
+  }
+  // Manifests are exactly as strict as grid specs (harness/json.h): a
+  // raw control byte inside a string and whitespace beyond
+  // space/tab/CR/LF are rejected where they occur.
+  {
+    std::string raw_control = good;
+    raw_control.insert(raw_control.find("\"csv\": \"") + 8, "\x01");
+    expect_throws_with([&] { (void)parse(raw_control); },
+                       "line 3, column 11: unescaped control character");
+  }
+  {
+    std::string vertical_tab = good;
+    vertical_tab.insert(vertical_tab.find("\"engine\""), "\v");
+    expect_throws_with([&] { (void)parse(vertical_tab); },
+                       "line 4, column 3: expected '\"'");
+  }
+}
+
+void expect_same_manifest(const ShardManifest& a, const ShardManifest& b) {
+  EXPECT_EQ(a.csv, b.csv);
+  EXPECT_EQ(a.engine, b.engine);
+  EXPECT_EQ(a.cd_engine, b.cd_engine);
+  EXPECT_EQ(a.grid_hash, b.grid_hash);
+  EXPECT_EQ(a.master_seed, b.master_seed);
+  EXPECT_EQ(a.trials, b.trials);
+  EXPECT_EQ(a.total_cells, b.total_cells);
+  EXPECT_EQ(a.shard_index, b.shard_index);
+  EXPECT_EQ(a.shard_count, b.shard_count);
+  EXPECT_EQ(a.cell_begin, b.cell_begin);
+  EXPECT_EQ(a.cell_end, b.cell_end);
+  EXPECT_EQ(a.cell_seeds, b.cell_seeds);
+}
+
+/// The GridSpecFuzz passes (tests/gridspec_test.cpp) over a written
+/// manifest: no crash, no silent default, no different manifest.
+std::string fuzz_manifest_text(ShardManifest* manifest) {
+  *manifest = ShardManifest{.csv = "shard-0-of-2 \"q\"\n.csv",
+                            .engine = "batch",
+                            .cd_engine = "history-tree",
+                            .grid_hash = 0xfeedfacecafebeefULL,
+                            .master_seed = 7,
+                            .trials = 1500,
+                            .total_cells = 6,
+                            .shard_index = 0,
+                            .shard_count = 2,
+                            .cell_begin = 0,
+                            .cell_end = 3,
+                            .cell_seeds = {0x1, 0xabcdef0123456789ULL, 0x42}};
+  std::ostringstream json;
+  write_shard_manifest(json, *manifest);
+  return json.str();
+}
+
+TEST(ShardManifestFuzz, TruncationAtEveryByteRejectsOrRoundTrips) {
+  ShardManifest manifest;
+  const std::string text = fuzz_manifest_text(&manifest);
+  for (std::size_t length = 0; length <= text.size(); ++length) {
+    SCOPED_TRACE("prefix length " + std::to_string(length));
+    try {
+      // Only the full text (possibly minus its trailing newline) may
+      // parse, and then it must be the same manifest.
+      expect_same_manifest(parse_manifest(text.substr(0, length)), manifest);
+    } catch (const std::invalid_argument&) {
+      // parse_manifest checked the rejection names its position.
+    }
+  }
+}
+
+TEST(ShardManifestFuzz, RandomByteFlipsNeverCrash) {
+  ShardManifest manifest;
+  const std::string canonical = fuzz_manifest_text(&manifest);
+  std::mt19937 rng(0xC0FFEE);  // fixed seed: reproducible corpus
+  std::uniform_int_distribution<std::size_t> position(0,
+                                                      canonical.size() - 1);
+  std::uniform_int_distribution<int> byte(0, 255);
+  for (int iteration = 0; iteration < 500; ++iteration) {
+    std::string text = canonical;
+    const std::size_t at = position(rng);
+    text[at] = static_cast<char>(byte(rng));
+    SCOPED_TRACE("iteration " + std::to_string(iteration) + ", byte " +
+                 std::to_string(at));
+    try {
+      const ShardManifest parsed = parse_manifest(text);
+      if (text == canonical) expect_same_manifest(parsed, manifest);
+    } catch (const std::invalid_argument&) {
+      // Positioned rejection: the expected outcome for most flips.
+      // Anything else (a crash, a sanitizer report, a foreign
+      // exception type) fails the test.
+    }
   }
 }
 

@@ -144,6 +144,7 @@
 #include "harness/gridspec.h"
 #include "harness/grids.h"
 #include "harness/journal.h"
+#include "harness/json.h"
 #include "harness/shard.h"
 #include "harness/supervisor.h"
 #include "harness/sweep.h"
