@@ -23,7 +23,6 @@
 #include "core/likelihood_schedule.h"
 #include "harness/fit.h"
 #include "harness/measure.h"
-#include "harness/parallel.h"
 #include "harness/table.h"
 #include "info/distribution.h"
 #include "predict/families.h"
@@ -124,12 +123,12 @@ void print_engine_ablation() {
   const crp::baselines::ReverseDecaySchedule reverse(n);
   const auto m_binomial = crp::harness::measure_uniform_no_cd_fixed_k(
       decay, k, kTrials, kSeed + 5, pooled(1 << 14, NoCdEngine::kBinomial));
-  const auto m_players = crp::harness::measure_parallel(
+  const auto m_players = crp::harness::measure(
       [&](std::size_t, std::mt19937_64& rng) {
         return crp::channel::run_uniform_no_cd_per_player(decay, k, rng,
                                                           {1 << 14});
       },
-      kTrials, kSeed + 5);
+      kTrials, kSeed + 5, /*threads=*/0);
   const auto m_batch = crp::harness::measure_uniform_no_cd_fixed_k(
       decay, k, kTrials, kSeed + 5, fast(1 << 14));
   const auto m_reverse = crp::harness::measure_uniform_no_cd_fixed_k(
@@ -160,17 +159,17 @@ void print_aloha_comparison() {
                              "decay mean", "fixed 1/k mean"});
   const crp::baselines::DecaySchedule decay(n);
   for (std::size_t k : {8ul, 64ul, 512ul, 4000ul}) {
-    const auto m_aloha = crp::harness::measure_parallel(
+    const auto m_aloha = crp::harness::measure(
         [k](std::size_t, std::mt19937_64& rng) {
           return crp::baselines::run_slotted_aloha(k, k, rng, {1 << 16});
         },
-        kTrials, kSeed + 8);
-    const auto m_backoff = crp::harness::measure_parallel(
+        kTrials, kSeed + 8, /*threads=*/0);
+    const auto m_backoff = crp::harness::measure(
         [k](std::size_t, std::mt19937_64& rng) {
           return crp::baselines::run_backoff_aloha(k, 1, 1 << 13, rng,
                                                    {1 << 16});
         },
-        kTrials, kSeed + 9);
+        kTrials, kSeed + 9, /*threads=*/0);
     const auto m_decay = crp::harness::measure_uniform_no_cd_fixed_k(
         decay, k, kTrials, kSeed + 10, fast(1 << 16));
     const auto fixed =

@@ -14,7 +14,6 @@
 #include "core/advice_deterministic.h"
 #include "core/advice_randomized.h"
 #include "harness/measure.h"
-#include "harness/parallel.h"
 #include "harness/table.h"
 #include "info/distribution.h"
 
@@ -62,7 +61,7 @@ int main() {
     // The advised schedule depends on the drawn k, so the no-CD side
     // cannot share one batch sampler across trials; the thread pool
     // still fans the independent trials across every core.
-    const auto m_decay = crp::harness::measure_parallel(
+    const auto m_decay = crp::harness::measure(
         [&](std::size_t, std::mt19937_64& rng) {
           const std::size_t k = sizes.sample(rng);
           const std::size_t group = advice.group_of_range(
@@ -72,8 +71,8 @@ int main() {
           return crp::channel::run_uniform_no_cd(schedule, k, rng,
                                                  {1 << 14});
         },
-        trials, /*seed=*/5);
-    const auto m_willard = crp::harness::measure_parallel(
+        trials, /*seed=*/5, /*threads=*/0);
+    const auto m_willard = crp::harness::measure(
         [&](std::size_t, std::mt19937_64& rng) {
           const std::size_t k = sizes.sample(rng);
           const std::size_t group = advice.group_of_range(
@@ -82,7 +81,7 @@ int main() {
               advice.ranges_in_group(group));
           return crp::channel::run_uniform_cd(policy, k, rng, {1 << 12});
         },
-        trials, /*seed=*/6);
+        trials, /*seed=*/6, /*threads=*/0);
     rnd.add_row(
         {fmt(b), fmt(m_decay.rounds.mean, 2),
          fmt(m_willard.rounds.mean, 2),

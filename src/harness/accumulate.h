@@ -7,9 +7,8 @@
 // histogram* of O(max observed round) machine words — no quantile
 // sketch, no approximation. Quantiles, means, and the one-shot success
 // curve read off the histogram exactly; memory per sweep cell is flat
-// in the trial count. This is the fold layer measure_blocks() and
-// run_sweep() use by default (MeasureOptions::keep_samples restores
-// the raw sample vector for consumers that need per-trial values).
+// in the trial count. This is the one fold every Measurement comes
+// from: measure(), measure_blocks(), and run_sweep() all fill it.
 //
 /// Ownership: accumulators own their bins outright; merging copies
 /// counts, never aliases.
@@ -21,14 +20,14 @@
 /// Determinism: every piece of accumulator state is *integral*
 /// (uint64 bin counts, 128-bit moment sums), so add and merge are
 /// exact and commutative — the folded result is bit-identical at any
-/// thread count and any merge order. The harness still merges worker
-/// accumulators in a fixed (worker-index) order, so the contract does
-/// not even rely on commutativity. Derived floating-point statistics
-/// (RoundHistogram::summary()) are computed once, from the merged
-/// integer state, in ascending-bin order: counts, min/max, quantiles,
-/// and means are bit-identical to the vector fold's summarize() (both
-/// sides compute the same exact integers); stddev/ci95 agree to
-/// floating-point rounding (the vector fold sums squared deviations in
+/// thread count and any merge order (the block queue's workers flush
+/// into a job's histogram in whatever order they leave it). Derived
+/// floating-point statistics (RoundHistogram::summary()) are computed
+/// once, from the merged integer state, in ascending-bin order:
+/// counts, min/max, quantiles, and means are bit-identical to
+/// summarize() over the solved rounds in trial order (both sides
+/// compute the same exact integers); stddev/ci95 agree to
+/// floating-point rounding (summarize() sums squared deviations in
 /// trial order, the histogram per bin — tests/accumulator_test.cpp
 /// pins both claims down).
 #pragma once

@@ -42,6 +42,17 @@ std::string position(std::size_t line, std::size_t column) {
          std::to_string(column);
 }
 
+/// A byte as an error message quotes it: printable ASCII as itself,
+/// anything else (control bytes, bytes of multi-byte UTF-8) as \xNN,
+/// so a stray \v or NUL shows instead of printing as nothing.
+std::string quoted_byte(char c) {
+  const auto byte = static_cast<unsigned char>(c);
+  if (byte >= 0x20 && byte < 0x7f) return std::string(1, c);
+  char buf[8];
+  std::snprintf(buf, sizeof buf, "\\x%02x", static_cast<unsigned>(byte));
+  return buf;
+}
+
 class Parser {
  public:
   Parser(std::string_view document, std::string_view text)
@@ -99,7 +110,7 @@ class Parser {
       std::string message = "expected '";
       message.push_back(c);
       message += eof() ? "', got end of input"
-                       : std::string("', got '") + peek() + "'";
+                       : "', got '" + quoted_byte(peek()) + "'";
       fail(message);
     }
     advance();
@@ -146,8 +157,7 @@ class Parser {
             break;
           }
           default:
-            fail("unsupported escape \\" + std::string(1, esc) +
-                 " in string");
+            fail("unsupported escape \\" + quoted_byte(esc) + " in string");
         }
       }
       out.push_back(c);
@@ -181,7 +191,7 @@ class Parser {
       }
       return value;
     }
-    fail(std::string("unexpected character '") + c +
+    fail("unexpected character '" + quoted_byte(c) +
          "' — expected an object, array, string, or number "
          "(true/false/null and bare words such as nan or inf are not "
          "part of the grammar)");

@@ -15,12 +15,11 @@ namespace crp::harness {
 namespace {
 
 /// Legacy entry points (plain max_rounds) keep the seed behavior:
-/// serial execution, exact binomial engine, raw sample vector.
+/// serial execution, exact binomial engine.
 MeasureOptions legacy_options(std::size_t max_rounds) {
   return MeasureOptions{.max_rounds = max_rounds,
                         .threads = 1,
-                        .engine = NoCdEngine::kBinomial,
-                        .keep_samples = true};
+                        .engine = NoCdEngine::kBinomial};
 }
 
 /// The uniform helpers' shared body: the drawn-k and fixed-k, no-CD
@@ -67,54 +66,31 @@ class DeterministicAdviceEngine final : public channel::Engine {
   bool collision_detection_;
 };
 
-}  // namespace
+/// measure()'s engine: runs the per-trial callback on each trial of a
+/// block, with the trial's own derived mt19937_64 stream. The callback
+/// applies its own budget and draws its own sizes, so the block's
+/// max_rounds and sizes go unread.
+class TrialEngine final : public channel::Engine {
+ public:
+  explicit TrialEngine(const Trial& trial) : trial_(trial) {}
 
-Measurement measurement_from_runs(std::span<const channel::RunResult> runs) {
-  Measurement result;
-  result.trials = runs.size();
-  result.samples.reserve(runs.size());
-  std::size_t solved = 0;
-  for (const auto& run : runs) {
-    if (run.solved) {
-      ++solved;
-      result.samples.push_back(static_cast<double>(run.rounds));
-      result.histogram.add_solved(run.rounds);
-    } else {
-      result.histogram.add_unsolved();
+  void run_many(channel::TrialBlock& block) const override {
+    for (std::size_t t = 0; t < block.size(); ++t) {
+      const std::size_t index = block.first_trial + t;
+      auto rng = channel::derive_rng(block.seed, index);
+      const channel::RunResult run = trial_(index, rng);
+      block.solved[t] = run.solved ? 1 : 0;
+      block.rounds[t] = run.rounds;
     }
   }
-  result.success_rate =
-      runs.empty() ? 0.0
-                   : static_cast<double>(solved) /
-                         static_cast<double>(runs.size());
-  result.rounds = summarize(result.samples);
-  return result;
-}
 
-Measurement measurement_from_columns(std::span<const std::uint8_t> solved,
-                                     std::span<const std::uint64_t> rounds) {
-  if (solved.size() != rounds.size()) {
-    throw std::invalid_argument("result columns disagree on length");
-  }
-  Measurement result;
-  result.trials = solved.size();
-  result.samples.reserve(solved.size());
-  std::size_t solved_count = 0;
-  for (std::size_t t = 0; t < solved.size(); ++t) {
-    if (solved[t]) {
-      ++solved_count;
-      result.samples.push_back(static_cast<double>(rounds[t]));
-    }
-  }
-  result.histogram.add_columns(solved, rounds);
-  result.success_rate =
-      solved.empty() ? 0.0
-                     : static_cast<double>(solved_count) /
-                           static_cast<double>(solved.size());
-  result.rounds = summarize(result.samples);
-  return result;
-}
+ private:
+  const Trial& trial_;
+};
 
+/// A Measurement read entirely from a merged round histogram
+/// (count/min/max/mean/quantiles bit-identical to summarize() over the
+/// solved rounds; see harness/accumulate.h for the stddev caveat).
 Measurement measurement_from_histogram(RoundHistogram histogram) {
   Measurement result;
   result.trials = histogram.trials();
@@ -123,6 +99,8 @@ Measurement measurement_from_histogram(RoundHistogram histogram) {
   result.histogram = std::move(histogram);
   return result;
 }
+
+}  // namespace
 
 std::shared_ptr<const channel::Engine> make_uniform_engine(
     const channel::ProbabilitySchedule* schedule,
@@ -303,43 +281,10 @@ Measurement measure_blocks(const channel::Engine& engine,
                            const channel::SizeSource& sizes,
                            std::size_t trials, std::uint64_t seed,
                            const MeasureOptions& options) {
-  if (options.keep_samples) {
-    // Sample-retaining path: whole-measurement columns, folded in
-    // trial order (the pre-streaming behavior, bit for bit).
-    std::vector<std::uint8_t> solved(trials);
-    std::vector<std::uint64_t> rounds(trials);
-    std::vector<std::uint64_t> transmissions(
-        options.measure_transmissions ? trials : 0);
-    parallel_blocks(trials, options.threads,
-                    [&](std::size_t begin, std::size_t end) {
-                      channel::TrialBlock block;
-                      block.seed = seed;
-                      block.first_trial = begin;
-                      block.max_rounds = options.max_rounds;
-                      block.sizes = sizes;
-                      block.solved =
-                          std::span(solved).subspan(begin, end - begin);
-                      block.rounds =
-                          std::span(rounds).subspan(begin, end - begin);
-                      if (options.measure_transmissions) {
-                        block.transmissions = std::span(transmissions)
-                                                  .subspan(begin, end - begin);
-                      }
-                      engine.run_many(block);
-                    });
-    Measurement result = measurement_from_columns(solved, rounds);
-    if (options.measure_transmissions) {
-      result.transmissions.add_column(transmissions);
-    }
-    return result;
-  }
-
-  // Streaming path: the one-job case of the block queue. Workers fold
-  // their blocks into private integer accumulators through fixed-size
-  // scratch columns; memory is O(workers * (block size + max observed
-  // round)) however many trials run. The merged result is bit-identical
-  // to the trial-order fold for count/min/max/mean/quantiles
-  // (harness/accumulate.h).
+  // The one-job case of the block queue. Workers fold their blocks
+  // into private integer accumulators through fixed-size scratch
+  // columns; memory is O(workers * (block size + max observed round))
+  // however many trials run.
   const BlockJob job{
       // Non-owning: the caller's engine outlives the call.
       .engine =
@@ -358,40 +303,15 @@ Measurement measure_blocks(const channel::Engine& engine,
 
 double Measurement::solved_within(double budget) const {
   if (trials == 0) return 0.0;
-  // The library fold paths always fill the histogram; hand-assembled
-  // Measurements (tests, external callers) may carry samples only.
-  if (histogram.trials() == trials) {
-    return static_cast<double>(histogram.solved_by(budget)) /
-           static_cast<double>(trials);
-  }
-  const auto solved = static_cast<double>(
-      std::count_if(samples.begin(), samples.end(),
-                    [budget](double r) { return r <= budget; }));
-  return solved / static_cast<double>(trials);
+  return static_cast<double>(histogram.solved_by(budget)) /
+         static_cast<double>(trials);
 }
 
 Measurement measure(const Trial& trial, std::size_t trials,
-                    std::uint64_t seed) {
-  Measurement result;
-  result.trials = trials;
-  result.samples.reserve(trials);
-  std::size_t solved = 0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    auto rng = channel::derive_rng(seed, t);
-    const channel::RunResult run = trial(t, rng);
-    if (run.solved) {
-      ++solved;
-      result.samples.push_back(static_cast<double>(run.rounds));
-      result.histogram.add_solved(run.rounds);
-    } else {
-      result.histogram.add_unsolved();
-    }
-  }
-  result.success_rate =
-      trials == 0 ? 0.0
-                  : static_cast<double>(solved) / static_cast<double>(trials);
-  result.rounds = summarize(result.samples);
-  return result;
+                    std::uint64_t seed, std::size_t threads) {
+  const TrialEngine engine(trial);
+  return measure_blocks(engine, channel::SizeSource{}, trials, seed,
+                        MeasureOptions{.threads = threads});
 }
 
 Measurement measure_uniform_no_cd(const channel::ProbabilitySchedule& schedule,

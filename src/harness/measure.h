@@ -2,18 +2,16 @@
 //
 // The execution stack is columnar: a channel::Engine fills
 // structure-of-arrays result columns for whole blocks of trials
-// (channel/engine.h), workers steal blocks (harness/parallel.h), and
-// measure_blocks() folds the columns into a Measurement in trial
-// order — bit-identical at every thread count. By default the fold is
+// (channel/engine.h), workers run blocks (harness/parallel.h), and
+// measure_blocks() folds the columns into a Measurement. The fold is
 // *streaming*: each worker folds its blocks into an exact counting
 // histogram (harness/accumulate.h) and the per-worker histograms merge
 // exactly, so a cell's memory is O(max observed round) regardless of
-// the trial count; MeasureOptions::keep_samples restores the raw
-// per-trial sample vector for consumers that need it. The measure_*
-// helpers below wire the common cases (a uniform algorithm against a
-// network-size distribution, an advice protocol against sampled
-// participant sets) onto that stack; the scalar Trial interface and
-// measure() remain as compatibility shims for per-trial callbacks.
+// the trial count, and the Measurement is bit-identical at every
+// thread count. The measure_* helpers below wire the common cases (a
+// uniform algorithm against a network-size distribution, an advice
+// protocol against sampled participant sets) onto that stack, and
+// measure() runs a per-trial callback (Trial) on it.
 #pragma once
 
 #include <cstddef>
@@ -46,17 +44,11 @@ struct Measurement {
   std::size_t trials = 0;
 
   /// Fraction of trials solved within `budget` rounds (one-shot success
-  /// probability at that budget). Reads the histogram when the library
-  /// fold filled it, else the raw samples — identical answers.
+  /// probability at that budget), read from the histogram.
   double solved_within(double budget) const;
 
-  /// Rounds of solved trials, in trial order. Filled by the scalar
-  /// shims and, when MeasureOptions::keep_samples is set, by the block
-  /// fold; empty on the (default) streaming path.
-  std::vector<double> samples;
-
-  /// Exact per-round counts of the solved trials; filled by every
-  /// library fold path (the streaming default stores only this).
+  /// Exact per-round counts of the solved trials: the whole round
+  /// distribution, from which `rounds` and `success_rate` are read.
   RoundHistogram histogram;
 
   /// Transmission-count moments over all trials; populated only when
@@ -67,31 +59,19 @@ struct Measurement {
 using Trial = std::function<channel::RunResult(std::size_t trial_index,
                                                std::mt19937_64& rng)>;
 
-/// Compatibility shim for per-trial callbacks: runs `trials`
-/// independent trials serially, deriving (and paying for) one
-/// mt19937_64 stream per trial from `seed` (replayable regardless of
-/// execution order). See harness/parallel.h for the bit-identical
-/// thread-pool drop-in, and measure_blocks() for the columnar path the
-/// measure_* helpers use — which seeds no mt19937_64 on the analytic
-/// engine at all.
+/// Runs `trials` independent trials of a per-trial callback: trial t
+/// is trial(t, rng) with rng = channel::derive_rng(seed, t), so every
+/// trial replays on its own regardless of execution order. The trials
+/// run through measure_blocks() on `threads` workers (as
+/// MeasureOptions::threads: 1 = serial, 0 = all hardware threads), and
+/// the result is bit-identical at every thread count. Above one thread
+/// the callable must be safe to invoke concurrently: the library's
+/// schedules, policies, advice functions, and BatchNoCdSampler all
+/// are. The first exception a trial throws is rethrown on the caller's
+/// thread. The measure_* helpers below drive columnar engines instead,
+/// which on the analytic paths seed no mt19937_64 at all.
 Measurement measure(const Trial& trial, std::size_t trials,
-                    std::uint64_t seed);
-
-/// Folds per-trial outcomes (already in trial order) into a
-/// Measurement — exactly the aggregation the serial measure() loop
-/// performs, shared by the thread-pool and batch measurement paths.
-Measurement measurement_from_runs(std::span<const channel::RunResult> runs);
-
-/// Columnar counterpart of measurement_from_runs: folds SoA result
-/// columns (`rounds[t]` is consulted only where `solved[t]`) with the
-/// identical aggregation, visiting trials in order.
-Measurement measurement_from_columns(std::span<const std::uint8_t> solved,
-                                     std::span<const std::uint64_t> rounds);
-
-/// Streaming counterpart: a Measurement read entirely from a merged
-/// round histogram (count/min/max/mean/quantiles bit-identical to the
-/// vector fold; see harness/accumulate.h for the stddev caveat).
-Measurement measurement_from_histogram(RoundHistogram histogram);
+                    std::uint64_t seed, std::size_t threads = 1);
 
 /// Which engine simulates a uniform no-CD trial.
 enum class NoCdEngine {
@@ -124,13 +104,6 @@ struct MeasureOptions {
   /// simulated default keeps every published fixed-seed golden stable;
   /// sweeps and benches opt into the history-tree sampler explicitly.
   CdEngine cd_engine = CdEngine::kSimulate;
-  /// When true, the fold keeps Measurement::samples (rounds of solved
-  /// trials, in trial order) and computes the summary from that vector
-  /// — the pre-streaming behavior, O(trials) memory, needed by callers
-  /// that consume raw samples. The default folds into the counting
-  /// histogram only: memory flat in the trial count, with count, min,
-  /// max, mean, and quantiles bit-identical to the vector fold.
-  bool keep_samples = false;
   /// When true, engines fill the transmissions column and the fold
   /// accumulates Measurement::transmissions (exact integer moments
   /// over all trials). Off by default: the analytic no-CD engine
@@ -145,13 +118,13 @@ struct MeasureOptions {
   const channel::HistoryTreeCache* tree_cache = nullptr;
 };
 
-/// Runs `trials` trials through a columnar engine: workers steal
-/// fixed-size blocks (harness/parallel.h) and write the SoA result
-/// columns in place; the fold visits trials in order, so the
-/// Measurement is bit-identical at every thread count. This is the
-/// execution core under every measure_* helper; call it directly to
-/// drive a custom channel::Engine. The streaming fold (the default) is
-/// the one-job case of measure_block_queue.
+/// Runs `trials` trials through a columnar engine: workers claim
+/// fixed-size blocks (harness/parallel.h), fill scratch result columns
+/// and fold them into exact histograms, so the Measurement is
+/// bit-identical at every thread count. This is the execution core
+/// under measure() and every measure_* helper; call it directly to
+/// drive a custom channel::Engine. It is the one-job case of
+/// measure_block_queue.
 Measurement measure_blocks(const channel::Engine& engine,
                            const channel::SizeSource& sizes,
                            std::size_t trials, std::uint64_t seed,

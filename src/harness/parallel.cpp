@@ -8,8 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "channel/rng.h"
-
 namespace crp::harness {
 
 namespace {
@@ -105,16 +103,6 @@ void parallel_trials(std::size_t trials, std::size_t threads,
         for (std::size_t t = begin; t < end; ++t) fn(t);
       },
       kChunk);
-}
-
-Measurement measure_parallel(const Trial& trial, std::size_t trials,
-                             std::uint64_t seed, std::size_t threads) {
-  std::vector<channel::RunResult> results(trials);
-  parallel_trials(trials, threads, [&](std::size_t t) {
-    auto rng = channel::derive_rng(seed, t);
-    results[t] = trial(t, rng);
-  });
-  return measurement_from_runs(results);
 }
 
 }  // namespace crp::harness

@@ -10,7 +10,8 @@
 //
 // Layering: channel/engine.h defines *what* runs on a block (columnar
 // engines), this header defines *where* blocks run, and
-// harness/measure.h glues the two into Measurements.
+// harness/measure.h glues the two into Measurements. This header knows
+// nothing of either: it schedules index ranges.
 //
 /// Ownership: the pool is per call — threads are spawned inside
 /// parallel_blocks and joined before it returns; no worker, queue, or
@@ -29,10 +30,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-
-#include "harness/measure.h"
 
 namespace crp::harness {
 
@@ -79,14 +77,5 @@ void parallel_blocks_indexed(
 /// block size, for callers priced per trial rather than per column.
 void parallel_trials(std::size_t trials, std::size_t threads,
                      const std::function<void(std::size_t)>& fn);
-
-/// Runs `trials` independent trials on `threads` workers (0 = all
-/// hardware threads; 1 falls back to the serial measure()). The trial
-/// callable must be safe to invoke concurrently: the library's
-/// schedules, policies, advice functions, and BatchNoCdSampler all are.
-/// The first exception thrown by a trial is rethrown on the caller's
-/// thread after the pool drains.
-Measurement measure_parallel(const Trial& trial, std::size_t trials,
-                             std::uint64_t seed, std::size_t threads = 0);
 
 }  // namespace crp::harness

@@ -2,9 +2,10 @@
 // sample-vector fold it replaces, and the branchless inverse-CDF probe
 // vs the partition_point search it replaces:
 //  * histogram-fold count/min/max/mean/quantiles/success must match
-//    the vector fold bit for bit at fixed seeds (stddev/ci95 to
-//    floating-point rounding), with keep_samples on and off, across
-//    thread counts and block-size-straddling trial counts;
+//    the vector fold (summarize() over the engine's columns in trial
+//    order) bit for bit at fixed seeds (stddev/ci95 to floating-point
+//    rounding), across thread counts and block-size-straddling trial
+//    counts;
 //  * RoundHistogram / MomentAccumulator merges must be exact and
 //    merge-order free;
 //  * BatchNoCdSampler::probe_first_below must equal
@@ -23,6 +24,7 @@
 #include "channel/batch.h"
 #include "channel/engine.h"
 #include "core/likelihood_schedule.h"
+#include "engine_columns.h"
 #include "harness/accumulate.h"
 #include "harness/measure.h"
 #include "harness/parallel.h"
@@ -152,10 +154,11 @@ TEST(MomentAccumulator, MatchesDirectMomentsAndMerges) {
 }
 
 TEST(StreamingFold, MatchesVectorFoldBitForBit) {
-  // The tentpole contract, end to end through measure_*: at a fixed
-  // seed the streaming fold reproduces the sample-retaining fold's
-  // count, extrema, mean, quantiles, success rate, and success curve
-  // exactly — for the analytic no-CD engine, the exact binomial
+  // The contract end to end through measure_*: at a fixed seed the
+  // streaming fold reproduces the vector fold's count, extrema, mean,
+  // quantiles, success rate, and success curve exactly — the vector
+  // fold here being summarize() over the same engine's columns, in
+  // trial order — for the analytic no-CD engine, the exact binomial
   // engine, and the CD adapter.
   constexpr std::size_t n = 1 << 12;
   const auto actual = table1_sizes(n);
@@ -164,31 +167,37 @@ TEST(StreamingFold, MatchesVectorFoldBitForBit) {
   const baselines::DecaySchedule decay(n);
   const baselines::WillardPolicy willard(n);
 
-  MeasureOptions keep{.max_rounds = 1 << 14, .threads = 1,
-                      .keep_samples = true};
-  MeasureOptions stream = keep;
-  stream.keep_samples = false;
-
-  const auto check = [&](const Measurement& kept,
-                         const Measurement& streamed) {
-    EXPECT_EQ(kept.trials, streamed.trials);
-    EXPECT_EQ(kept.success_rate, streamed.success_rate);
-    expect_stats_identical(kept.rounds, streamed.rounds);
-    EXPECT_TRUE(streamed.samples.empty());
+  MeasureOptions options{.max_rounds = 1 << 14, .threads = 1};
+  const auto check = [&](const Measurement& streamed,
+                         const channel::ProbabilitySchedule* sched,
+                         const channel::CollisionPolicy* policy,
+                         channel::SizeSource sizes, std::uint64_t seed) {
+    const auto engine = make_uniform_engine(sched, policy, options);
+    const auto columns = run_columns(*engine, sizes, streamed.trials, seed,
+                                     options.max_rounds);
+    const auto samples = columns.solved_rounds();
+    EXPECT_EQ(streamed.success_rate, static_cast<double>(samples.size()) /
+                                         static_cast<double>(columns.size()));
+    expect_stats_identical(summarize(samples), streamed.rounds);
     for (const double budget : {1.0, 3.0, 10.0, 100.0}) {
-      EXPECT_EQ(kept.solved_within(budget), streamed.solved_within(budget))
+      const auto within = std::count_if(
+          samples.begin(), samples.end(),
+          [budget](double r) { return r <= budget; });
+      EXPECT_EQ(static_cast<double>(within) /
+                    static_cast<double>(columns.size()),
+                streamed.solved_within(budget))
           << budget;
     }
   };
 
-  keep.engine = stream.engine = NoCdEngine::kBatch;
-  check(measure_uniform_no_cd(schedule, actual, 6000, 404, keep),
-        measure_uniform_no_cd(schedule, actual, 6000, 404, stream));
-  keep.engine = stream.engine = NoCdEngine::kBinomial;
-  check(measure_uniform_no_cd(decay, actual, 2000, 405, keep),
-        measure_uniform_no_cd(decay, actual, 2000, 405, stream));
-  check(measure_uniform_cd_fixed_k(willard, 60, 2000, 406, keep),
-        measure_uniform_cd_fixed_k(willard, 60, 2000, 406, stream));
+  options.engine = NoCdEngine::kBatch;
+  check(measure_uniform_no_cd(schedule, actual, 6000, 404, options),
+        &schedule, nullptr, {&actual, 0}, 404);
+  options.engine = NoCdEngine::kBinomial;
+  check(measure_uniform_no_cd(decay, actual, 2000, 405, options), &decay,
+        nullptr, {&actual, 0}, 405);
+  check(measure_uniform_cd_fixed_k(willard, 60, 2000, 406, options), nullptr,
+        &willard, {nullptr, 60}, 406);
 }
 
 TEST(StreamingFold, ThreadCountAndPartitionInvisible) {
@@ -222,27 +231,28 @@ TEST(StreamingFold, ThreadCountAndPartitionInvisible) {
   }
 }
 
-TEST(StreamingFold, TransmissionMomentsMatchAcrossFoldModes) {
-  // The energy column is opt-in; both fold modes accumulate the same
-  // exact integer moments from it.
+TEST(StreamingFold, TransmissionMomentsMatchTheColumn) {
+  // The energy column is opt-in; the fold accumulates the same exact
+  // integer moments as adding the engine's column value by value.
   const baselines::DecaySchedule decay(1 << 10);
-  MeasureOptions keep{.max_rounds = 1 << 14,
-                      .threads = 1,
-                      .engine = NoCdEngine::kBinomial,
-                      .keep_samples = true,
-                      .measure_transmissions = true};
-  MeasureOptions stream = keep;
-  stream.keep_samples = false;
-  const auto kept = measure_uniform_no_cd_fixed_k(decay, 100, 3000, 7, keep);
+  const MeasureOptions options{.max_rounds = 1 << 14,
+                               .threads = 1,
+                               .engine = NoCdEngine::kBinomial,
+                               .measure_transmissions = true};
   const auto streamed =
-      measure_uniform_no_cd_fixed_k(decay, 100, 3000, 7, stream);
-  EXPECT_EQ(kept.transmissions.count(), 3000u);
-  EXPECT_GT(kept.transmissions.mean(), 0.0);
-  EXPECT_EQ(kept.transmissions.count(), streamed.transmissions.count());
-  EXPECT_EQ(kept.transmissions.mean(), streamed.transmissions.mean());
-  EXPECT_EQ(kept.transmissions.stddev(), streamed.transmissions.stddev());
-  EXPECT_EQ(kept.transmissions.min(), streamed.transmissions.min());
-  EXPECT_EQ(kept.transmissions.max(), streamed.transmissions.max());
+      measure_uniform_no_cd_fixed_k(decay, 100, 3000, 7, options);
+  const auto engine = make_uniform_engine(&decay, nullptr, options);
+  const auto columns =
+      run_columns(*engine, {nullptr, 100}, 3000, 7, options.max_rounds);
+  MomentAccumulator expected;
+  for (const std::uint64_t value : columns.transmissions) expected.add(value);
+  EXPECT_EQ(streamed.transmissions.count(), 3000u);
+  EXPECT_GT(streamed.transmissions.mean(), 0.0);
+  EXPECT_EQ(expected.count(), streamed.transmissions.count());
+  EXPECT_EQ(expected.mean(), streamed.transmissions.mean());
+  EXPECT_EQ(expected.stddev(), streamed.transmissions.stddev());
+  EXPECT_EQ(expected.min(), streamed.transmissions.min());
+  EXPECT_EQ(expected.max(), streamed.transmissions.max());
 
   // Off by default: no accumulation happens.
   const auto off = measure_uniform_no_cd_fixed_k(

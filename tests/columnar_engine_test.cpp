@@ -1,12 +1,13 @@
 // The columnar engine layer (channel/engine.h) vs the scalar paths it
 // replaced:
 //  * for each of the three no-CD engines (and the CD adapter), the
-//    measure_* helpers driven through blocks must produce a
-//    Measurement IDENTICAL to the scalar per-trial loop at a fixed
-//    seed — same streams, same draw order, same fold;
+//    engine's result columns must equal the scalar per-trial loop's
+//    results trial by trial at a fixed seed — same streams, same draw
+//    order — and the measure_* helper's Measurement must be the fold
+//    of exactly those columns;
 //  * the block partition must be invisible: any thread count, and any
 //    trial count relative to the block size, gives identical results;
-//  * regression: the compatibility shims preserve PR 1's published
+//  * regression: the measure_* helpers preserve PR 1's published
 //    fixed-seed statistics (golden values captured from the PR 1
 //    binary before the refactor).
 #include <algorithm>
@@ -26,6 +27,7 @@
 #include "core/coded_search.h"
 #include "core/advice_deterministic.h"
 #include "core/likelihood_schedule.h"
+#include "engine_columns.h"
 #include "harness/measure.h"
 #include "harness/parallel.h"
 #include "info/distribution.h"
@@ -36,7 +38,6 @@ namespace {
 
 void expect_identical(const Measurement& a, const Measurement& b) {
   EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.samples, b.samples);  // element-wise, in trial order
   EXPECT_TRUE(a.histogram == b.histogram);
   EXPECT_EQ(a.success_rate, b.success_rate);
   EXPECT_EQ(a.rounds.mean, b.rounds.mean);
@@ -51,6 +52,23 @@ info::SizeDistribution table1_sizes(std::size_t n) {
       predict::uniform_over_ranges(info::num_ranges(n), 6);
   return predict::lift(condensed, n,
                        predict::RangePlacement::kHighEndpoint);
+}
+
+/// The engine behind a measure_* helper against its scalar reference:
+/// the engine's columns match `runs` trial by trial, and the helper's
+/// Measurement is the fold of exactly those columns.
+void expect_engine_matches(const Measurement& measured,
+                           const channel::ProbabilitySchedule* schedule,
+                           const channel::CollisionPolicy* policy,
+                           channel::SizeSource sizes, std::uint64_t seed,
+                           const MeasureOptions& options,
+                           const std::vector<channel::RunResult>& runs) {
+  const auto engine = make_uniform_engine(schedule, policy, options);
+  const auto columns =
+      run_columns(*engine, sizes, runs.size(), seed, options.max_rounds);
+  expect_columns_match(columns, runs);
+  EXPECT_EQ(measured.trials, runs.size());
+  EXPECT_TRUE(measured.histogram == columns.histogram());
 }
 
 TEST(ColumnarEngine, BatchMatchesScalarSamplerLoop) {
@@ -71,15 +89,13 @@ TEST(ColumnarEngine, BatchMatchesScalarSamplerLoop) {
     const std::size_t k = actual.sample_at(unit(rng));
     runs[t] = sampler.sample(k, rng, 1 << 14);
   }
-  const auto scalar = measurement_from_runs(runs);
 
-  const auto columnar = measure_uniform_no_cd(
-      schedule, actual, kTrials, kSeed,
-      MeasureOptions{.max_rounds = 1 << 14,
-                     .threads = 1,
-                     .engine = NoCdEngine::kBatch,
-                     .keep_samples = true});
-  expect_identical(scalar, columnar);
+  const MeasureOptions options{.max_rounds = 1 << 14,
+                               .threads = 1,
+                               .engine = NoCdEngine::kBatch};
+  expect_engine_matches(
+      measure_uniform_no_cd(schedule, actual, kTrials, kSeed, options),
+      &schedule, nullptr, {&actual, 0}, kSeed, options, runs);
 }
 
 TEST(ColumnarEngine, BinomialMatchesScalarTrialLoop) {
@@ -89,20 +105,18 @@ TEST(ColumnarEngine, BinomialMatchesScalarTrialLoop) {
   const auto actual = table1_sizes(n);
   const baselines::DecaySchedule decay(n);
 
-  const auto scalar = measure(
-      [&](std::size_t, std::mt19937_64& rng) {
-        const std::size_t k = actual.sample(rng);
-        return channel::run_uniform_no_cd(decay, k, rng,
-                                          {.max_rounds = 1 << 14});
-      },
-      kTrials, kSeed);
-  const auto columnar = measure_uniform_no_cd(
-      decay, actual, kTrials, kSeed,
-      MeasureOptions{.max_rounds = 1 << 14,
-                     .threads = 1,
-                     .engine = NoCdEngine::kBinomial,
-                     .keep_samples = true});
-  expect_identical(scalar, columnar);
+  const Trial trial = [&](std::size_t, std::mt19937_64& rng) {
+    const std::size_t k = actual.sample(rng);
+    return channel::run_uniform_no_cd(decay, k, rng, {.max_rounds = 1 << 14});
+  };
+  const MeasureOptions options{.max_rounds = 1 << 14,
+                               .threads = 1,
+                               .engine = NoCdEngine::kBinomial};
+  const auto columnar =
+      measure_uniform_no_cd(decay, actual, kTrials, kSeed, options);
+  expect_engine_matches(columnar, &decay, nullptr, {&actual, 0}, kSeed,
+                        options, run_trials(kTrials, kSeed, trial));
+  expect_identical(measure(trial, kTrials, kSeed), columnar);
 }
 
 TEST(ColumnarEngine, PerPlayerMatchesScalarTrialLoop) {
@@ -111,19 +125,18 @@ TEST(ColumnarEngine, PerPlayerMatchesScalarTrialLoop) {
   constexpr std::uint64_t kSeed = 406;
   const baselines::DecaySchedule decay(n);
 
-  const auto scalar = measure(
-      [&](std::size_t, std::mt19937_64& rng) {
-        return channel::run_uniform_no_cd_per_player(
-            decay, 50, rng, {.max_rounds = 1 << 14});
-      },
-      kTrials, kSeed);
-  const auto columnar = measure_uniform_no_cd_fixed_k(
-      decay, 50, kTrials, kSeed,
-      MeasureOptions{.max_rounds = 1 << 14,
-                     .threads = 1,
-                     .engine = NoCdEngine::kPerPlayer,
-                     .keep_samples = true});
-  expect_identical(scalar, columnar);
+  const Trial trial = [&](std::size_t, std::mt19937_64& rng) {
+    return channel::run_uniform_no_cd_per_player(decay, 50, rng,
+                                                 {.max_rounds = 1 << 14});
+  };
+  const MeasureOptions options{.max_rounds = 1 << 14,
+                               .threads = 1,
+                               .engine = NoCdEngine::kPerPlayer};
+  const auto columnar =
+      measure_uniform_no_cd_fixed_k(decay, 50, kTrials, kSeed, options);
+  expect_engine_matches(columnar, &decay, nullptr, {nullptr, 50}, kSeed,
+                        options, run_trials(kTrials, kSeed, trial));
+  expect_identical(measure(trial, kTrials, kSeed), columnar);
 }
 
 TEST(ColumnarEngine, CdAdapterMatchesScalarTrialLoop) {
@@ -133,18 +146,16 @@ TEST(ColumnarEngine, CdAdapterMatchesScalarTrialLoop) {
   const auto actual = table1_sizes(n);
   const baselines::WillardPolicy willard(n);
 
-  const auto scalar = measure(
-      [&](std::size_t, std::mt19937_64& rng) {
-        const std::size_t k = actual.sample(rng);
-        return channel::run_uniform_cd(willard, k, rng,
-                                       {.max_rounds = 1 << 12});
-      },
-      kTrials, kSeed);
-  const auto columnar = measure_uniform_cd(
-      willard, actual, kTrials, kSeed,
-      MeasureOptions{
-          .max_rounds = 1 << 12, .threads = 1, .keep_samples = true});
-  expect_identical(scalar, columnar);
+  const Trial trial = [&](std::size_t, std::mt19937_64& rng) {
+    const std::size_t k = actual.sample(rng);
+    return channel::run_uniform_cd(willard, k, rng, {.max_rounds = 1 << 12});
+  };
+  const MeasureOptions options{.max_rounds = 1 << 12, .threads = 1};
+  const auto columnar =
+      measure_uniform_cd(willard, actual, kTrials, kSeed, options);
+  expect_engine_matches(columnar, nullptr, &willard, {&actual, 0}, kSeed,
+                        options, run_trials(kTrials, kSeed, trial));
+  expect_identical(measure(trial, kTrials, kSeed), columnar);
 }
 
 // ---- CD adapter, column by column ---------------------------------
@@ -295,8 +306,7 @@ TEST(ColumnarEngine, BlockPartitionIsInvisible) {
   const auto actual = table1_sizes(1 << 10);
   for (const std::size_t trials :
        {kTrialBlockSize - 1, kTrialBlockSize, 3 * kTrialBlockSize + 17}) {
-    const MeasureOptions serial{
-        .max_rounds = 1 << 14, .threads = 1, .keep_samples = true};
+    const MeasureOptions serial{.max_rounds = 1 << 14, .threads = 1};
     const auto reference =
         measure_uniform_no_cd(decay, actual, trials, 99, serial);
     for (const std::size_t threads : {2ul, 8ul}) {
@@ -323,14 +333,16 @@ TEST(ColumnarEngine, CustomEngineThroughMeasureBlocks) {
     }
   };
   const EveryThirdSolves engine;
-  const auto m =
-      measure_blocks(engine, channel::SizeSource{nullptr, 2}, 10, 0,
-                     MeasureOptions{.threads = 1, .keep_samples = true});
+  const auto m = measure_blocks(engine, channel::SizeSource{nullptr, 2}, 10,
+                                0, MeasureOptions{.threads = 1});
   EXPECT_EQ(m.trials, 10u);
   EXPECT_DOUBLE_EQ(m.success_rate, 0.4);
-  ASSERT_EQ(m.samples.size(), 4u);
-  EXPECT_EQ(m.samples.front(), 1.0);
-  EXPECT_EQ(m.samples.back(), 10.0);
+  // Trials 0, 3, 6, 9 solve, in rounds 1, 4, 7, 10.
+  const auto counts = m.histogram.counts();
+  ASSERT_GE(counts.size(), 11u);
+  for (std::size_t r = 0; r < counts.size(); ++r) {
+    EXPECT_EQ(counts[r], r % 3 == 1 && r <= 10 ? 1u : 0u) << "round " << r;
+  }
 }
 
 TEST(ColumnarEngine, RejectsDegenerateBlocks) {
@@ -344,16 +356,20 @@ TEST(ColumnarEngine, RejectsDegenerateBlocks) {
 // ---- PR 1 golden statistics --------------------------------------
 //
 // Captured from the PR 1 binary (scalar measurement stack) at fixed
-// seeds before the columnar refactor. The compatibility shims must
+// seeds before the columnar refactor. The measure_* helpers must
 // keep reproducing them bit for bit: every engine derives the same
 // per-trial streams and consumes draws in the same order as the
-// scalar loops did. keep_samples selects the sample-retaining fold
-// these goldens were captured from; the streaming fold reproduces the
-// same count/mean/quantiles (tests/accumulator_test.cpp).
+// scalar loops did. The goldens were captured from a sample-vector
+// fold; the histogram fold reproduces its count/mean/quantiles and
+// sample sum exactly (tests/accumulator_test.cpp).
 
+/// Sum of the solved trials' rounds, read from the histogram.
 double sample_sum(const Measurement& m) {
   double sum = 0.0;
-  for (const double s : m.samples) sum += s;
+  const auto counts = m.histogram.counts();
+  for (std::size_t r = 0; r < counts.size(); ++r) {
+    sum += static_cast<double>(r) * static_cast<double>(counts[r]);
+  }
   return sum;
 }
 
@@ -368,8 +384,7 @@ TEST(ColumnarEngine, GoldenBatchDrawnSizes) {
       schedule, actual, 4000, 2021,
       MeasureOptions{.max_rounds = 1 << 14,
                      .threads = 1,
-                     .engine = NoCdEngine::kBatch,
-                     .keep_samples = true});
+                     .engine = NoCdEngine::kBatch});
   EXPECT_DOUBLE_EQ(m.success_rate, 1.0);
   EXPECT_DOUBLE_EQ(m.rounds.mean, 6.3362499999999997);
   EXPECT_DOUBLE_EQ(m.rounds.p50, 4.0);
@@ -384,8 +399,7 @@ TEST(ColumnarEngine, GoldenBatchFixedK) {
       decay, 100, 4000, 2022,
       MeasureOptions{.max_rounds = 1 << 14,
                      .threads = 1,
-                     .engine = NoCdEngine::kBatch,
-                     .keep_samples = true});
+                     .engine = NoCdEngine::kBatch});
   EXPECT_DOUBLE_EQ(m.rounds.mean, 10.655250000000001);
   EXPECT_DOUBLE_EQ(sample_sum(m), 42621.0);
 }
@@ -401,8 +415,7 @@ TEST(ColumnarEngine, GoldenBinomialDrawnSizes) {
       schedule, actual, 2000, 2023,
       MeasureOptions{.max_rounds = 1 << 14,
                      .threads = 1,
-                     .engine = NoCdEngine::kBinomial,
-                     .keep_samples = true});
+                     .engine = NoCdEngine::kBinomial});
   EXPECT_DOUBLE_EQ(m.rounds.mean, 6.3685);
   EXPECT_DOUBLE_EQ(sample_sum(m), 12737.0);
 }
@@ -411,8 +424,7 @@ TEST(ColumnarEngine, GoldenCdPaths) {
   constexpr std::size_t n = 1 << 12;
   const auto actual = table1_sizes(n);
   const baselines::WillardPolicy willard(n);
-  const MeasureOptions options{
-      .max_rounds = 1 << 14, .threads = 1, .keep_samples = true};
+  const MeasureOptions options{.max_rounds = 1 << 14, .threads = 1};
   const auto drawn =
       measure_uniform_cd(willard, actual, 2000, 2025, options);
   EXPECT_DOUBLE_EQ(drawn.rounds.mean, 4.1935000000000002);
@@ -430,8 +442,7 @@ TEST(ColumnarEngine, GoldenDeterministicAdvice) {
   const auto sizes = info::SizeDistribution::uniform(32);
   const auto m = measure_deterministic_advice(
       scan, advice, sizes, n, false, 1000, 2027,
-      MeasureOptions{
-          .max_rounds = 8 << 8, .threads = 1, .keep_samples = true});
+      MeasureOptions{.max_rounds = 8 << 8, .threads = 1});
   EXPECT_DOUBLE_EQ(m.rounds.mean, 11.145);
   EXPECT_DOUBLE_EQ(sample_sum(m), 11145.0);
 

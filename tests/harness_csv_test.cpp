@@ -1,6 +1,7 @@
 #include "harness/csv.h"
 
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -177,8 +178,7 @@ TEST(CsvWriterTest, MeasurementCellsMatchHeaderWidth) {
   Measurement m;
   m.trials = 10;
   m.success_rate = 0.9;
-  m.samples = {1.0, 2.0, 3.0};
-  m.rounds = summarize(m.samples);
+  m.rounds = summarize(std::vector<double>{1.0, 2.0, 3.0});
   EXPECT_EQ(CsvWriter::measurement_cells(m).size(),
             CsvWriter::measurement_header().size());
 }

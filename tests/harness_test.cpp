@@ -1,5 +1,7 @@
 #include <cmath>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -53,13 +55,24 @@ TEST(Measure, CountsFailuresAndSuccesses) {
 }
 
 TEST(Measure, IsReproducibleAcrossCalls) {
-  const Trial trial = [](std::size_t, std::mt19937_64& rng) {
-    std::uniform_int_distribution<std::size_t> rounds(1, 100);
-    return channel::RunResult{true, rounds(rng), std::nullopt};
+  // Each call records its per-trial draws, so the check is element by
+  // element, in trial order, not only on the folded distribution.
+  const auto run = [] {
+    std::vector<std::size_t> draws(500);
+    const auto m = measure(
+        [&draws](std::size_t t, std::mt19937_64& rng) {
+          std::uniform_int_distribution<std::size_t> rounds(1, 100);
+          draws[t] = rounds(rng);
+          return channel::RunResult{true, draws[t], std::nullopt};
+        },
+        draws.size(), 42);
+    EXPECT_EQ(m.rounds.count, draws.size());
+    return std::make_pair(m, draws);
   };
-  const auto a = measure(trial, 500, 42);
-  const auto b = measure(trial, 500, 42);
-  EXPECT_EQ(a.samples, b.samples);
+  const auto [a, a_draws] = run();
+  const auto [b, b_draws] = run();
+  EXPECT_EQ(a_draws, b_draws);
+  EXPECT_TRUE(a.histogram == b.histogram);
 }
 
 TEST(RandomParticipantSet, CorrectSizeAndDistinctIds) {

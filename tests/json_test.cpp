@@ -1,5 +1,5 @@
 // The one strict JSON reader (harness/json.h): error positions and
-// field paths, json_escape inverted byte for byte, and every JSON
+// field paths, non-printable bytes spelled in hex, json_escape inverted byte for byte, and every JSON
 // writer of the toolchain — shard manifest, partial-merge report,
 // quarantine report — read back field by field through the reader,
 // with strings that exercise every escape rule and raw UTF-8.
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/gridspec.h"
 #include "harness/json.h"
 #include "harness/shard.h"
 #include "harness/supervisor.h"
@@ -61,6 +62,28 @@ TEST(JsonReader, ErrorsCarryDocumentPositionAndFieldPath) {
             std::string::npos);
   EXPECT_NE(rejection("{\"a\": \"x\ty\"}").find("unescaped control"),
             std::string::npos);
+}
+
+TEST(JsonReader, NonPrintableBytesAreSpelledInHex) {
+  // A \v at byte 1 of a manifest and of a grid spec, where a field
+  // name's quote belongs: the message quotes it as \x0b, not as a byte
+  // that prints as nothing.
+  std::istringstream manifest("{\v\"format\": \"crp-shard-manifest-v1\"}");
+  EXPECT_EQ(error_of([&] { (void)read_shard_manifest(manifest); }),
+            "shard manifest: line 1, column 2: expected '\"', got '\\x0b'");
+  EXPECT_EQ(error_of([&] { (void)parse_grid_spec("{\v\"n\": 4}"); }),
+            "grid spec: line 1, column 2: expected '\"', got '\\x0b'");
+  // The other two places that quote a byte.
+  EXPECT_EQ(rejection("\v{}").rfind(
+                "test doc: line 1, column 1: unexpected character '\\x0b'",
+                0),
+            0u);
+  EXPECT_EQ(rejection("{\"a\": \"\\\v\"}"),
+            "test doc: line 1, column 10: unsupported escape \\\\x0b in "
+            "string (in field \"a\")");
+  // Printable bytes still quote as themselves.
+  EXPECT_EQ(rejection("{\"a\" 1}"),
+            "test doc: line 1, column 6: expected ':', got '1'");
 }
 
 TEST(JsonReader, SchemaHelpersNameTheField) {

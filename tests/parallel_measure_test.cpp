@@ -1,7 +1,8 @@
-// Determinism of the thread-pool harness: measure_parallel must
-// reproduce the serial measure() bit for bit at every thread count,
-// for synthetic trials and for real workloads (including the batch
-// engine, whose lazily built tables are shared across workers).
+// Determinism of the thread-pool harness: measure() and the measure_*
+// helpers must reproduce their serial runs bit for bit at every thread
+// count, for synthetic trials and for real workloads (including the
+// batch engine, whose lazily built tables are shared across workers).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <iterator>
@@ -15,6 +16,7 @@
 #include "channel/batch.h"
 #include "channel/rng.h"
 #include "core/advice_deterministic.h"
+#include "engine_columns.h"
 #include "harness/measure.h"
 #include "harness/parallel.h"
 #include "info/distribution.h"
@@ -24,7 +26,7 @@ namespace {
 
 void expect_identical(const Measurement& a, const Measurement& b) {
   EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.samples, b.samples);  // element-wise, in trial order
+  EXPECT_TRUE(a.histogram == b.histogram);
   EXPECT_EQ(a.success_rate, b.success_rate);
   EXPECT_EQ(a.rounds.count, b.rounds.count);
   EXPECT_EQ(a.rounds.mean, b.rounds.mean);
@@ -37,15 +39,32 @@ void expect_identical(const Measurement& a, const Measurement& b) {
 }
 
 TEST(MeasureParallel, BitIdenticalToSerialAtEveryThreadCount) {
-  const Trial trial = [](std::size_t, std::mt19937_64& rng) {
+  // Every trial records its result at its own index (distinct
+  // elements, so concurrent writes are safe): at each thread count,
+  // trial t must see the stream derive_rng(42, t) — checked element by
+  // element against a serial loop — and the folded histograms agree.
+  constexpr std::size_t kTrials = 3001;
+  std::vector<channel::RunResult> seen(kTrials);
+  const Trial trial = [&seen](std::size_t t, std::mt19937_64& rng) {
     std::uniform_int_distribution<std::size_t> rounds(1, 500);
     const std::size_t r = rounds(rng);
-    return channel::RunResult{r % 7 != 0, r, std::nullopt};
+    seen[t] = channel::RunResult{r % 7 != 0, r, std::nullopt};
+    return seen[t];
   };
-  const auto serial = measure(trial, 3001, 42);
+  const auto reference = run_trials(kTrials, 42, trial);
+  const auto serial = measure(trial, kTrials, 42);
   for (std::size_t threads : {1ul, 2ul, 8ul}) {
-    expect_identical(serial, measure_parallel(trial, 3001, 42, threads));
+    std::fill(seen.begin(), seen.end(), channel::RunResult{});
+    const auto pooled = measure(trial, kTrials, 42, threads);
+    expect_identical(serial, pooled);
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      ASSERT_EQ(seen[t].rounds, reference[t].rounds)
+          << "trial " << t << " at threads=" << threads;
+    }
   }
+  std::uint64_t solved = 0;
+  for (const auto& run : reference) solved += run.solved ? 1 : 0;
+  EXPECT_EQ(serial.histogram.solved(), solved);
 }
 
 TEST(MeasureParallel, BatchEngineTrialsAreThreadCountInvariant) {
@@ -61,7 +80,7 @@ TEST(MeasureParallel, BatchEngineTrialsAreThreadCountInvariant) {
   };
   const auto serial = measure(trial, 4000, 7);
   for (std::size_t threads : {2ul, 8ul}) {
-    expect_identical(serial, measure_parallel(trial, 4000, 7, threads));
+    expect_identical(serial, measure(trial, 4000, 7, threads));
   }
 }
 
@@ -133,12 +152,9 @@ TEST(MeasureParallel, DeterministicAdviceMatchesLegacySerialPath) {
   const auto sizes = info::SizeDistribution::uniform(32);
   const auto legacy = measure_deterministic_advice(scan, advice, sizes, n,
                                                    false, 800, 5, 8 * n);
-  // keep_samples matches the legacy fold (the plain-max_rounds entry
-  // points always retain samples).
   const auto pooled = measure_deterministic_advice(
       scan, advice, sizes, n, false, 800, 5,
-      MeasureOptions{.max_rounds = 8 * n, .threads = 8,
-                     .keep_samples = true});
+      MeasureOptions{.max_rounds = 8 * n, .threads = 8});
   expect_identical(legacy, pooled);
 }
 
@@ -146,20 +162,30 @@ TEST(MeasureParallel, HandlesDegenerateTrialCounts) {
   const Trial trial = [](std::size_t, std::mt19937_64&) {
     return channel::RunResult{true, 1, std::nullopt};
   };
-  const auto none = measure_parallel(trial, 0, 1, 8);
+  const auto none = measure(trial, 0, 1, 8);
   EXPECT_EQ(none.trials, 0u);
-  EXPECT_EQ(none.samples.size(), 0u);
-  const auto one = measure_parallel(trial, 1, 1, 8);
+  EXPECT_EQ(none.rounds.count, 0u);
+  EXPECT_EQ(none.success_rate, 0.0);
+  const auto one = measure(trial, 1, 1, 8);
   EXPECT_EQ(one.trials, 1u);
-  EXPECT_EQ(one.samples.size(), 1u);
+  EXPECT_EQ(one.rounds.count, 1u);
+  EXPECT_EQ(one.histogram.solved_by(1.0), 1u);
 }
 
 TEST(MeasureParallel, PropagatesTrialExceptions) {
+  // The trial's own exception reaches the caller, serial or pooled.
   const Trial trial = [](std::size_t t, std::mt19937_64&) {
-    if (t == 1234) throw std::runtime_error("boom");
+    if (t == 1234) throw std::runtime_error("boom at 1234");
     return channel::RunResult{true, 1, std::nullopt};
   };
-  EXPECT_THROW(measure_parallel(trial, 3000, 1, 4), std::runtime_error);
+  for (const std::size_t threads : {1ul, 4ul}) {
+    try {
+      measure(trial, 3000, 1, threads);
+      ADD_FAILURE() << "no exception at threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom at 1234") << "threads=" << threads;
+    }
+  }
 }
 
 TEST(MeasureParallel, StopsClaimingBlocksAfterAnException) {
