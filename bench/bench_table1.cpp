@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -362,8 +363,14 @@ BENCHMARK(BM_Table1TreeSweep)
 // block after block of kTrialBlockSize trials with every tree already
 // expanded — the per-trial cost of the walk-mode sampling the coded
 // cells of a table1 run spend their time in (every tree's pruned mass
-// is above resolve_epsilon, so no key samples by inverse CDF).
-void BM_Table1CodedWalk(benchmark::State& state) {
+// is above resolve_epsilon, so no key samples by inverse CDF). One
+// series per kernel tier the host offers (registered in main), since
+// the walk runs in the kernel table.
+void BM_Table1CodedWalk(benchmark::State& state,
+                        crp::channel::kernels::Tier tier) {
+  namespace kn = crp::channel::kernels;
+  const kn::Tier dispatched = kn::tier();
+  kn::force_tier(tier);
   const auto points = table1_entropy_points(1 << 20);
   const auto& point = points.back();
   const crp::channel::HistoryTreeEngine engine(point.policy);
@@ -390,8 +397,20 @@ void BM_Table1CodedWalk(benchmark::State& state) {
       1e-9 * kBlock,
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
+  kn::force_tier(dispatched);
 }
-BENCHMARK(BM_Table1CodedWalk)->Unit(benchmark::kMicrosecond);
+
+void register_coded_walk_series() {
+  namespace kn = crp::channel::kernels;
+  for (const kn::Tier tier :
+       {kn::Tier::kScalar, kn::Tier::kAvx2, kn::Tier::kAvx512}) {
+    if (kn::ops_for(tier) == nullptr) continue;  // absent on this host
+    benchmark::RegisterBenchmark(
+        (std::string("BM_Table1CodedWalk/") + kn::tier_name(tier)).c_str(),
+        BM_Table1CodedWalk, tier)
+        ->Unit(benchmark::kMicrosecond);
+  }
+}
 
 // ---- google-benchmark microbenchmarks: per-round simulation cost ----
 
@@ -443,6 +462,7 @@ int main(int argc, char** argv) {
   }
   benchmark::Initialize(&argc, argv);
   crp::bench::report_kernel_tier();
+  register_coded_walk_series();
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,7 +1,9 @@
 #include "channel/history_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <stdexcept>
@@ -35,81 +37,29 @@ std::size_t simulate_from(const CollisionPolicy& policy, std::size_t k,
   return 0;
 }
 
-/// One walk-mode trial in flight: its stream, the tree it walks and
-/// the node it stands on, and the collision history walked so far
-/// (bit d = the feedback of round d + 1 was a collision; depths stay
-/// below the 64-round depth cap).
-struct WalkLane {
-  SplitMix64 rng{0};
-  const harness::HistoryTreeNode* nodes = nullptr;
-  std::int64_t node = 0;
-  std::uint64_t path = 0;
-  std::uint32_t trial = 0;
-  std::uint32_t slot = 0;
-};
-
-/// Runs the walk-mode trials of `block` level by level: each pass
-/// advances every lane one round of its tree, writing the lane's
-/// result columns through selects (solved at this depth, or unsolved
-/// at the budget — a later pass overwrites them while the lane lives),
-/// then compacts the lanes still inside the expansion to the front.
-/// Independent trials thus overlap in the pipeline instead of each
-/// paying a mispredicted outcome branch per round. A lane that leaves
-/// the expansion — a pruned branch or the depth cap — continues on the
-/// exact per-round simulation from its stream state and walked path,
-/// exactly as a per-trial walk would. No separate budget test is
+/// Continues the walk's exits on the exact per-round simulation, each
+/// from its own stream state and walked path — exactly as the walk
+/// would have, had the tree gone on. No separate budget test is
 /// needed: a tree's horizon is min(depth_cap, max_rounds), so a lane
 /// that walks to the budget leaves the expansion there, and its
 /// simulation has no rounds left.
-void walk_lanes(const CollisionPolicy& policy,
-                std::span<const std::size_t> slot_k,
-                std::vector<WalkLane>& lanes, TrialBlock& block) {
-  const std::uint64_t budget = block.max_rounds;
-  std::vector<WalkLane> exits(lanes.size());
-  // Raw column pointers: the byte-typed solved column may alias
-  // anything, so writes through the spans would make every pass reload
-  // them.
-  WalkLane* const live_lanes = lanes.data();
-  WalkLane* const exit_lanes = exits.data();
-  std::uint8_t* const solved_out = block.solved.data();
-  std::uint64_t* const rounds_out = block.rounds.data();
+void simulate_exits(const CollisionPolicy& policy,
+                    std::span<const std::size_t> slot_k,
+                    const kernels::WalkExits& exits, std::size_t count,
+                    TrialBlock& block) {
   BitString history;
   history.reserve(64);
-  std::size_t live = lanes.size();
-  for (std::uint64_t depth = 0; live > 0; ++depth) {
-    std::size_t kept = 0;
-    std::size_t left = 0;
-    for (std::size_t i = 0; i < live; ++i) {
-      WalkLane lane = live_lanes[i];
-      const harness::HistoryTreeNode& n =
-          lane.nodes[static_cast<std::size_t>(lane.node)];
-      const double draw = canonical_unit(lane.rng());
-      const bool solved = draw < n.cum_success;
-      const bool collided = draw >= n.cum_no_collision;
-      // A mask select: GCC compiles the ternary to a branch here.
-      const std::int64_t pick = -static_cast<std::int64_t>(collided);
-      lane.node = (n.silence & ~pick) | (n.collision & pick);
-      lane.path |= std::uint64_t{collided} << depth;
-      solved_out[lane.trial] = solved;
-      rounds_out[lane.trial] = solved ? depth + 1 : budget;
-      const bool inside = lane.node != harness::HistoryTreeNode::kNoChild;
-      live_lanes[kept] = lane;
-      kept += !solved & inside;
-      exit_lanes[left] = lane;
-      left += !solved & !inside;
+  for (std::size_t i = 0; i < count; ++i) {
+    history.clear();
+    for (std::uint64_t d = 0; d < exits.depth[i]; ++d) {
+      history.push_back((exits.path[i] >> d) & 1);
     }
-    live = kept;
-    for (std::size_t i = 0; i < left; ++i) {
-      WalkLane& lane = exit_lanes[i];
-      history.clear();
-      for (std::uint64_t d = 0; d <= depth; ++d) {
-        history.push_back((lane.path >> d) & 1);
-      }
-      const std::size_t round = simulate_from(policy, slot_k[lane.slot],
-                                              history, budget, lane.rng);
-      solved_out[lane.trial] = round != 0 ? 1 : 0;
-      rounds_out[lane.trial] = round != 0 ? round : budget;
-    }
+    SplitMix64 rng(exits.state[i]);
+    const std::size_t round = simulate_from(
+        policy, slot_k[exits.tag[i] >> 32], history, block.max_rounds, rng);
+    const auto trial = static_cast<std::uint32_t>(exits.tag[i]);
+    block.solved[trial] = round != 0 ? 1 : 0;
+    block.rounds[trial] = round != 0 ? round : block.max_rounds;
   }
 }
 
@@ -287,13 +237,28 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
   }
 
   // Split the block by mode: inverse-CDF trials grouped per slot for
-  // the lane probe, walk trials into lanes for the level-synchronous
-  // walk, simulate trials run here. Walk and simulate trials have a
-  // variable draw count, so they re-derive their stream and discard
-  // the size draw the uk column already holds.
+  // the lane probe, walk trials into the walk kernel's lanes, simulate
+  // trials run here. Walk and simulate trials have a variable draw
+  // count, so they re-derive their stream and discard the size draw
+  // the uk column already holds.
   std::vector<std::vector<std::uint32_t>> cdf_groups(slots.size());
-  std::vector<WalkLane> lanes;
-  lanes.reserve(count);
+  std::vector<const harness::HistoryTreeNode*> roots(slots.size(), nullptr);
+  bool any_walk = false;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    if (slots[s].first != nullptr && slots[s].second == Mode::kWalk &&
+        !slots[s].first->nodes.empty() && block.max_rounds > 0) {
+      roots[s] = slots[s].first->nodes.data();
+      any_walk = true;
+    }
+  }
+  // The walk kernel's live-lane and exit columns, `rows` each, left
+  // uninitialized: the kernel writes every row before it reads it.
+  const std::size_t rows = any_walk ? count : 0;
+  const auto columns =
+      std::make_unique_for_overwrite<std::uint64_t[]>(8 * rows);
+  const auto column = [&](std::size_t c) { return columns.get() + c * rows; };
+  const kernels::WalkLanes lanes{column(0), column(1), column(2), column(3)};
+  std::size_t walking = 0;
   BitString path;  // scratch history for the simulate mode
   for (std::size_t t = 0; t < count; ++t) {
     const std::size_t slot = dist != nullptr ? slot_of[t] : 0;
@@ -304,11 +269,12 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
     }
     SplitMix64 rng = derive_fast_rng(block.seed, block.first_trial + t);
     if (dist != nullptr) (void)rng();
-    const auto& nodes = entry.first->nodes;
-    if (entry.second == Mode::kWalk && !nodes.empty() &&
-        block.max_rounds > 0) {
-      lanes.push_back({rng, nodes.data(), 0, 0, static_cast<std::uint32_t>(t),
-                       static_cast<std::uint32_t>(slot)});
+    if (roots[slot] != nullptr) {
+      lanes.state[walking] = rng.state();
+      lanes.node[walking] = std::bit_cast<std::uint64_t>(roots[slot]);
+      lanes.path[walking] = 0;
+      lanes.tag[walking] = t | std::uint64_t{slot} << 32;
+      ++walking;
       continue;
     }
     // Simulate mode, or a walk with nothing to walk: the per-round
@@ -319,7 +285,14 @@ void HistoryTreeEngine::run_many(TrialBlock& block) const {
     block.solved[t] = round != 0 ? 1 : 0;
     block.rounds[t] = round != 0 ? round : block.max_rounds;
   }
-  walk_lanes(policy_, slot_k, lanes, block);
+  if (walking > 0) {
+    const kernels::WalkExits exits{column(4), column(5), column(6),
+                                   column(7)};
+    const std::size_t left =
+        kops.walk_tree(roots.data(), lanes, walking, exits,
+                       block.solved.data(), block.rounds.data());
+    simulate_exits(policy_, slot_k, exits, left, block);
+  }
 
   // Pass 2: answer each slot's inverse-CDF trials with the lane
   // upper-bound probe over the tree's padded CDF — bit-identical to

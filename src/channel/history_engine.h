@@ -18,13 +18,18 @@
 //    mt19937_64 seeding), and a trial that leaves the expansion — a
 //    pruned branch, or the depth cap — falls back to the exact
 //    per-round simulation the CollisionPolicyColumnarEngine adapter
-//    runs, continued from the walked history. The walk is level-
-//    synchronous: a block's walk trials are lanes (stream state, tree
-//    node, walked path as bits — hence the 64-round depth cap), and
-//    each pass advances every lane one tree level through selects
-//    rather than outcome branches, then compacts the lanes still
-//    inside the expansion, so independent trials overlap in the
-//    pipeline instead of each paying a mispredicted branch per round;
+//    runs, continued from the walked history. The walk is a kernel
+//    (kernels::Ops::walk_tree, channel/kernels) and level-synchronous:
+//    a block's walk trials are struct-of-arrays lanes (stream state,
+//    node address, walked path as bits — hence the 64-round depth cap
+//    — and trial|slot), and each pass advances every lane one tree
+//    level through selects rather than outcome branches, then compacts
+//    the lanes still inside the expansion (on AVX-512: 8 lanes per
+//    vector, four gathers per node, mask compares, vpcompressq). The
+//    kernel never sees the policy: it hands back the lanes that leave
+//    the expansion, and the engine simulates each after the walk —
+//    an exit depends only on its own stream and path, so the order is
+//    free;
 //  * a policy whose tree exceeds the node cap before pruning can cut
 //    it (expansion truncated) is delegated entirely to the per-round
 //    simulation path, so the engine never costs more than a bounded

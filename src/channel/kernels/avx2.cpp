@@ -1,10 +1,10 @@
 // AVX2 kernel backend: 4-wide ymm lanes, two vectors in flight per
-// loop (8 trials), function-target pragmas so only this TU is compiled
-// for AVX2 while the binary stays portable. Must be bit-identical to
-// kernels/scalar.cpp on every input — see kernels.h for the contract
-// and tests/kernel_test.cpp for the pins. The comments here mostly
-// explain *why* a sequence matches the scalar reference; the reference
-// itself documents the algorithms.
+// element-wise loop (8 trials), function-target pragmas so only this
+// TU is compiled for AVX2 while the binary stays portable. Must be
+// bit-identical to kernels/scalar.cpp on every input — see kernels.h
+// for the contract and tests/kernel_test.cpp for the pins. The
+// comments here mostly explain *why* a sequence matches the scalar
+// reference; the reference itself documents the algorithms.
 //
 // AVX2 has no 64-bit integer multiply, no uint64<->double conversion,
 // and no unsigned 64-bit compare, so this backend emulates:
@@ -438,6 +438,147 @@ void probe_cdf_avx2(const CdfTable& table, const double* u, std::size_t count,
   for (; t < count; ++t) index[t] = probe_cdf_one(table, u[t]);
 }
 
+// ---- the history-tree walk ----
+
+/// AVX2's stand-in for vpcompressq: the vpermd indices that move the
+/// qword lanes set in a 4-bit mask to the front, in lane order, and
+/// the vpmaskmovq masks of the first n lanes.
+struct CompressTable {
+  alignas(32) std::int32_t perm[16][8];
+  alignas(32) std::int64_t low[5][4];
+};
+
+constexpr CompressTable make_compress_table() {
+  CompressTable table{};
+  for (int mask = 0; mask < 16; ++mask) {
+    int out = 0;
+    for (int lane = 0; lane < 4; ++lane) {
+      if ((mask >> lane) & 1) {
+        table.perm[mask][2 * out] = 2 * lane;
+        table.perm[mask][2 * out + 1] = 2 * lane + 1;
+        ++out;
+      }
+    }
+  }
+  for (int n = 0; n <= 4; ++n) {
+    for (int lane = 0; lane < 4; ++lane) {
+      table.low[n][lane] = lane < n ? -1 : 0;
+    }
+  }
+  return table;
+}
+
+constexpr CompressTable kCompress = make_compress_table();
+
+inline __m256i low_lanes(int n) {
+  return _mm256_load_si256(
+      reinterpret_cast<const __m256i*>(kCompress.low[n]));
+}
+
+/// Stores the lanes of `v` set in `mask` to dst[0, popcount(mask)).
+inline void compress_store(std::uint64_t* dst, int mask, __m256i v) {
+  const __m256i perm = _mm256_load_si256(
+      reinterpret_cast<const __m256i*>(kCompress.perm[mask]));
+  _mm256_maskstore_epi64(reinterpret_cast<long long*>(dst),
+                         low_lanes(__builtin_popcount(mask)),
+                         _mm256_permutevar8x32_epi32(v, perm));
+}
+
+/// The AVX-512 walk (kernels/avx512.cpp, which explains the column
+/// and result handling) on 4 lanes per vector: the same null-based
+/// gathers, the compares as lane masks, the compactions through the
+/// permute table.
+std::size_t walk_tree_avx2(const harness::HistoryTreeNode* const* trees,
+                           const WalkLanes& lanes, std::size_t count,
+                           const WalkExits& exits, std::uint8_t* solved,
+                           std::uint64_t* rounds) {
+  const WalkLanes live_lanes = lanes;
+  const WalkExits exit_lanes = exits;
+  const auto* const table = reinterpret_cast<const long long*>(trees);
+  const __m256i gamma = set1_u64(kGamma);
+  const __m256i no_child = set1_u64(~std::uint64_t{0});
+  const __m256i low32 = set1_u64(0xffffffffULL);
+  const __m256i zero = _mm256_setzero_si256();
+  std::size_t left = 0;
+  const std::size_t total = count;
+  std::size_t won_rows = total;
+  for (std::uint64_t depth = 0; count > 0; ++depth) {
+    const __m256i bit = set1_u64(std::uint64_t{1} << depth);
+    const __m256i walked = set1_u64(depth + 1);
+    const __m256i result_round = set1_u64((depth + 1) << 32);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < count; i += 4) {
+      const int n = count - i >= 4 ? 4 : static_cast<int>(count - i);
+      const __m256i m = low_lanes(n);
+      const auto load = [&](std::uint64_t* column) {
+        return _mm256_maskload_epi64(
+            reinterpret_cast<const long long*>(column + i), m);
+      };
+      const __m256i s = _mm256_add_epi64(load(live_lanes.state), gamma);
+      const __m256i at = load(live_lanes.node);
+      const __m256i tag = load(live_lanes.tag);
+      const __m256i walked_path = load(live_lanes.path);
+      const __m256d md = _mm256_castsi256_pd(m);
+      const __m256d cum_success = _mm256_mask_i64gather_pd(
+          _mm256_setzero_pd(), nullptr, at, md, 1);
+      const __m256d cum_no_collision = _mm256_mask_i64gather_pd(
+          _mm256_setzero_pd(), nullptr, _mm256_add_epi64(at, set1_u64(8)),
+          md, 1);
+      const __m256i silence = _mm256_mask_i64gather_epi64(
+          zero, nullptr, _mm256_add_epi64(at, set1_u64(16)), m, 1);
+      const __m256i collision = _mm256_mask_i64gather_epi64(
+          zero, nullptr, _mm256_add_epi64(at, set1_u64(24)), m, 1);
+      const __m256d draw = canonical4(mix64(s));
+      const __m256i won_v = _mm256_and_si256(
+          _mm256_castpd_si256(_mm256_cmp_pd(draw, cum_success, _CMP_LT_OQ)),
+          m);
+      const __m256i collided = _mm256_and_si256(
+          _mm256_castpd_si256(
+              _mm256_cmp_pd(draw, cum_no_collision, _CMP_GE_OQ)),
+          m);
+      const __m256i child = _mm256_castpd_si256(_mm256_blendv_pd(
+          _mm256_castsi256_pd(silence), _mm256_castsi256_pd(collision),
+          _mm256_castsi256_pd(collided)));
+      const __m256i path =
+          _mm256_or_si256(walked_path, _mm256_and_si256(collided, bit));
+      const __m256i live_v = _mm256_andnot_si256(
+          _mm256_or_si256(won_v, _mm256_cmpeq_epi64(child, no_child)), m);
+      const int won = _mm256_movemask_pd(_mm256_castsi256_pd(won_v));
+      const int live = _mm256_movemask_pd(_mm256_castsi256_pd(live_v));
+      const int out = ((1 << n) - 1) & ~won & ~live;
+      const __m256i base = _mm256_mask_i64gather_epi64(
+          zero, table, _mm256_srli_epi64(tag, 32), live_v, 8);
+      const __m256i next =
+          _mm256_add_epi64(base, _mm256_slli_epi64(child, 5));
+
+      won_rows -= static_cast<std::size_t>(__builtin_popcount(won));
+      compress_store(exit_lanes.tag + won_rows, won,
+                     _mm256_or_si256(_mm256_and_si256(tag, low32),
+                                     result_round));
+      compress_store(live_lanes.state + kept, live, s);
+      compress_store(live_lanes.node + kept, live, next);
+      compress_store(live_lanes.path + kept, live, path);
+      compress_store(live_lanes.tag + kept, live, tag);
+      kept += static_cast<std::size_t>(__builtin_popcount(live));
+      if (out != 0) {
+        compress_store(exit_lanes.state + left, out, s);
+        compress_store(exit_lanes.path + left, out, path);
+        compress_store(exit_lanes.tag + left, out, tag);
+        compress_store(exit_lanes.depth + left, out, walked);
+        left += static_cast<std::size_t>(__builtin_popcount(out));
+      }
+    }
+    count = kept;
+  }
+  for (std::size_t j = won_rows; j < total; ++j) {
+    const std::uint64_t result = exit_lanes.tag[j];
+    const auto trial = static_cast<std::uint32_t>(result);
+    solved[trial] = 1;
+    rounds[trial] = result >> 32;
+  }
+  return left;
+}
+
 }  // namespace
 
 namespace detail {
@@ -445,7 +586,7 @@ namespace detail {
 const Ops& avx2_ops() {
   static const Ops ops = {
       &pass1_uniform_avx2, &pass1_uniform_pair_avx2, &map_targets_avx2,
-      &probe_rounds_avx2, &probe_cdf_avx2,
+      &probe_rounds_avx2, &probe_cdf_avx2, &walk_tree_avx2,
   };
   return ops;
 }

@@ -1,12 +1,12 @@
 // AVX-512 kernel backend: 8-wide zmm lanes, two vectors in flight per
-// loop (16 trials), compiled for avx512f+avx512dq in this TU only.
-// Bit-identical to kernels/scalar.cpp by the kernels.h contract; the
-// structure mirrors kernels/avx2.cpp lane for lane, but none of that
-// backend's emulations are needed — DQ provides the 64-bit multiply
-// (vpmullq) and the uint64<->double conversions (vcvtuqq2pd /
-// vcvttpd2qq, both exactly the scalar casts), and F's mask registers
-// replace the blend/movemask dance — so there is no 2^30 budget
-// delegation here either.
+// element-wise loop (16 trials), compiled for avx512f+avx512dq in this
+// TU only. Bit-identical to kernels/scalar.cpp by the kernels.h
+// contract; the structure mirrors kernels/avx2.cpp lane for lane, but
+// none of that backend's emulations are needed — DQ provides the
+// 64-bit multiply (vpmullq) and the uint64<->double conversions
+// (vcvtuqq2pd / vcvttpd2qq, both exactly the scalar casts), and F's
+// mask registers replace the blend/movemask dance — so there is no
+// 2^30 budget delegation here either.
 
 #include "channel/kernels/kernels.h"
 
@@ -354,6 +354,109 @@ void probe_cdf_avx512(const CdfTable& table, const double* u,
   for (; t < count; ++t) index[t] = probe_cdf_one(table, u[t]);
 }
 
+// ---- the history-tree walk ----
+
+/// Stores the `live` lanes of `v` to dst[0, popcount(live)): a register
+/// vpcompressq and a masked store (the memory form of vpcompressq is
+/// microcoded on Intel cores).
+inline void compress_store(std::uint64_t* dst, __mmask8 live, __m512i v) {
+  const auto low = static_cast<__mmask8>((1u << __builtin_popcount(live)) - 1);
+  _mm512_mask_storeu_epi64(dst, low, _mm512_maskz_compress_epi64(live, v));
+}
+
+/// The scalar walk, 8 lanes per vector: the node's four words gathered
+/// straight from the lanes' node addresses (a null gather base and the
+/// absolute address as the index), the outcome trichotomy as mask
+/// compares, the child as a blend, the live lanes and the exits
+/// compacted by compress_store. A solving lane's result is packed as
+/// trial | round << 32 and parked at the top of exits.tag, which has a
+/// row free for every lane that has not exited yet; the columns are
+/// written from there once the walk ends, so no per-vector loop over
+/// the solving lanes (a branch the outcome draws make unpredictable)
+/// sits in the level pass.
+std::size_t walk_tree_avx512(const harness::HistoryTreeNode* const* trees,
+                             const WalkLanes& lanes, std::size_t count,
+                             const WalkExits& exits, std::uint8_t* solved,
+                             std::uint64_t* rounds) {
+  // Local copies: the column stores could alias the views themselves.
+  const WalkLanes live_lanes = lanes;
+  const WalkExits exit_lanes = exits;
+  const __m512i gamma = set1_u64(kGamma);
+  const __m512i no_child = set1_u64(~std::uint64_t{0});  // kNoChild
+  const __m512i low32 = set1_u64(0xffffffffULL);
+  const __m512i zero = _mm512_setzero_si512();
+  std::size_t left = 0;
+  const std::size_t total = count;
+  std::size_t won_rows = total;  // exit_lanes.tag[won_rows, total): results
+  for (std::uint64_t depth = 0; count > 0; ++depth) {
+    const __m512i bit = set1_u64(std::uint64_t{1} << depth);
+    const __m512i walked = set1_u64(depth + 1);
+    const __m512i result_round = set1_u64((depth + 1) << 32);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < count; i += 8) {
+      const auto m = static_cast<__mmask8>(
+          count - i >= 8 ? 0xffu : (1u << (count - i)) - 1);
+      const __m512i s = _mm512_add_epi64(
+          _mm512_maskz_loadu_epi64(m, live_lanes.state + i), gamma);
+      const __m512i at = _mm512_maskz_loadu_epi64(m, live_lanes.node + i);
+      const __m512i tag = _mm512_maskz_loadu_epi64(m, live_lanes.tag + i);
+      const __m512i walked_path =
+          _mm512_maskz_loadu_epi64(m, live_lanes.path + i);
+      const __m512d cum_success =
+          _mm512_mask_i64gather_pd(_mm512_setzero_pd(), m, at, nullptr, 1);
+      const __m512d cum_no_collision = _mm512_mask_i64gather_pd(
+          _mm512_setzero_pd(), m, _mm512_add_epi64(at, set1_u64(8)), nullptr,
+          1);
+      const __m512i silence = _mm512_mask_i64gather_epi64(
+          zero, m, _mm512_add_epi64(at, set1_u64(16)), nullptr, 1);
+      const __m512i collision = _mm512_mask_i64gather_epi64(
+          zero, m, _mm512_add_epi64(at, set1_u64(24)), nullptr, 1);
+      const __m512d draw = canonical8(mix64(s));
+      const __mmask8 won =
+          _mm512_mask_cmp_pd_mask(m, draw, cum_success, _CMP_LT_OQ);
+      const __mmask8 collided =
+          _mm512_mask_cmp_pd_mask(m, draw, cum_no_collision, _CMP_GE_OQ);
+      const __m512i child =
+          _mm512_mask_blend_epi64(collided, silence, collision);
+      const __m512i path =
+          _mm512_mask_or_epi64(walked_path, collided, walked_path, bit);
+      const auto open = static_cast<__mmask8>(m & ~won);
+      const __mmask8 live =
+          _mm512_mask_cmpneq_epi64_mask(open, child, no_child);
+      const auto out = static_cast<__mmask8>(open & ~live);
+      const __m512i base = _mm512_mask_i64gather_epi64(
+          zero, live, _mm512_srli_epi64(tag, 32), trees, 8);
+      const __m512i next =
+          _mm512_add_epi64(base, _mm512_slli_epi64(child, 5));
+
+      won_rows -= static_cast<std::size_t>(__builtin_popcount(won));
+      compress_store(exit_lanes.tag + won_rows, won,
+                     _mm512_or_si512(_mm512_and_si512(tag, low32),
+                                     result_round));
+      compress_store(live_lanes.state + kept, live, s);
+      compress_store(live_lanes.node + kept, live, next);
+      compress_store(live_lanes.path + kept, live, path);
+      compress_store(live_lanes.tag + kept, live, tag);
+      kept += static_cast<std::size_t>(__builtin_popcount(live));
+      if (out != 0) {  // rare: a pruned branch or the horizon
+        compress_store(exit_lanes.state + left, out, s);
+        compress_store(exit_lanes.path + left, out, path);
+        compress_store(exit_lanes.tag + left, out, tag);
+        compress_store(exit_lanes.depth + left, out, walked);
+        left += static_cast<std::size_t>(__builtin_popcount(out));
+      }
+    }
+    count = kept;
+  }
+  for (std::size_t j = won_rows; j < total; ++j) {
+    const std::uint64_t result = exit_lanes.tag[j];
+    const auto trial = static_cast<std::uint32_t>(result);
+    solved[trial] = 1;
+    rounds[trial] = result >> 32;
+  }
+  return left;
+}
+
 }  // namespace
 
 namespace detail {
@@ -361,7 +464,7 @@ namespace detail {
 const Ops& avx512_ops() {
   static const Ops ops = {
       &pass1_uniform_avx512, &pass1_uniform_pair_avx512, &map_targets_avx512,
-      &probe_rounds_avx512, &probe_cdf_avx512,
+      &probe_rounds_avx512,  &probe_cdf_avx512,          &walk_tree_avx512,
   };
   return ops;
 }

@@ -1,15 +1,19 @@
 // Lane-parallel batch kernels with runtime ISA dispatch.
 //
 // The columnar engines (channel/engine.cpp, channel/history_engine.cpp)
-// spend their time in three dense element-wise passes: deriving one
-// SplitMix64 stream per trial and drawing its uniforms (pass 1),
-// mapping the uniform column to log-survival targets via log1p
-// (pass 2a), and descending the padded power-of-two probe tables once
-// per trial (pass 2b). This header is the seam between those engines
-// and the per-ISA implementations of the passes: a table of function
-// pointers (`Ops`) resolved once at startup from cpuid, with scalar,
-// AVX2 (4-wide ymm, 8 trials in flight), and AVX-512 (8-wide zmm, 16
-// trials in flight) backends.
+// spend their time in four lane passes: deriving one SplitMix64 stream
+// per trial and drawing its uniforms (pass 1), mapping the uniform
+// column to log-survival targets via log1p (pass 2a), descending the
+// padded power-of-two probe tables once per trial (pass 2b), and
+// walking the CD history trees level by level (the walk: one draw, one
+// node gather and one compaction per lane and level). This header is
+// the seam between those engines and the per-ISA implementations of
+// the passes: a table of function pointers (`Ops`) resolved once at
+// startup from cpuid, with scalar, AVX2 (4-wide ymm), and AVX-512
+// (8-wide zmm) backends; the element-wise passes keep two vectors in
+// flight per loop, the walk one.
+// The kernels never see a policy: a walk lane that leaves its tree is
+// handed back to the engine, which continues it by simulation.
 //
 // Determinism contract: the scalar backend is the *reference*. Every
 // vector backend must produce bit-identical output on the same inputs
@@ -42,6 +46,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+
+#include "harness/history_tree.h"
 
 // The x86 backends need 64-bit x86 and a compiler that understands
 // function-target pragmas and __builtin_cpu_supports (GCC and Clang
@@ -100,6 +106,41 @@ struct CdfTable {
   std::size_t entries;
 };
 
+/// The walk-mode trials of HistoryTreeEngine (channel/history_engine.h)
+/// as struct-of-arrays lane columns. Lane i is one trial inside its
+/// history tree:
+///  * state[i] — its SplitMix64 state (channel/rng.h: a draw adds the
+///    stream increment, then mixes);
+///  * node[i] — the address of the HistoryTreeNode it stands on;
+///  * path[i] — the collision history walked so far: bit d is set when
+///    round d + 1 ended in a collision;
+///  * tag[i] — trial | slot << 32: the trial's row in the result
+///    columns and its tree's index in the walk's tree table.
+struct WalkLanes {
+  std::uint64_t* state;
+  std::uint64_t* node;
+  std::uint64_t* path;
+  std::uint64_t* tag;
+};
+
+/// The lanes a walk hands back because they left their tree (a pruned
+/// branch or the horizon): state, path and tag as in WalkLanes, and
+/// depth[i], the rounds walked — the length of path.
+struct WalkExits {
+  std::uint64_t* state;
+  std::uint64_t* path;
+  std::uint64_t* tag;
+  std::uint64_t* depth;
+};
+
+// The walk reads a node as four 8-byte words at fixed offsets (the
+// vector tiers gather each one); pin that layout here.
+static_assert(sizeof(harness::HistoryTreeNode) == 32);
+static_assert(offsetof(harness::HistoryTreeNode, cum_success) == 0);
+static_assert(offsetof(harness::HistoryTreeNode, cum_no_collision) == 8);
+static_assert(offsetof(harness::HistoryTreeNode, silence) == 16);
+static_assert(offsetof(harness::HistoryTreeNode, collision) == 24);
+
 /// One ISA tier's kernel table. All functions are pure and
 /// thread-safe; columns may be processed in independent chunks.
 struct Ops {
@@ -126,6 +167,25 @@ struct Ops {
   /// probe_cdf_one per element.
   void (*probe_cdf)(const CdfTable& table, const double* u,
                     std::size_t count, std::uint64_t* index);
+  /// Walks lanes [0, count) of `lanes`, each standing on the root of
+  /// its tree (trees[slot] is nodes[0] of slot's HistoryTree) with an
+  /// empty path, one level per pass. At depth d a
+  /// lane draws canonical_unit of its stream's next word against its
+  /// node: draw < cum_success solves (solved[trial] = 1,
+  /// rounds[trial] = d + 1: the walk changes no other row of those
+  /// columns), draw >= cum_no_collision takes the collision child
+  /// and sets path bit d, anything else takes the silence child. A
+  /// lane whose child is kNoChild exits: its state (after the draw),
+  /// path, tag and depth d + 1 are appended to `exits`, level by level
+  /// and in lane order within a level, and the exit count is
+  /// returned. `exits` needs room for `count` lanes, and its rows past
+  /// the returned count are scratch; `lanes` is clobbered. Trees must
+  /// be at most 64 levels deep (the path is one word), as
+  /// HistoryTreeEngine's depth cap guarantees.
+  std::size_t (*walk_tree)(const harness::HistoryTreeNode* const* trees,
+                           const WalkLanes& lanes, std::size_t count,
+                           const WalkExits& exits, std::uint8_t* solved,
+                           std::uint64_t* rounds);
 };
 
 /// The dispatched kernel table: resolved once from cpuid (and the

@@ -67,6 +67,49 @@ void probe_cdf_scalar(const CdfTable& table, const double* u,
   }
 }
 
+std::size_t walk_tree_scalar(const harness::HistoryTreeNode* const* trees,
+                             const WalkLanes& lanes, std::size_t count,
+                             const WalkExits& exits, std::uint8_t* solved,
+                             std::uint64_t* rounds) {
+  using harness::HistoryTreeNode;
+  std::size_t left = 0;
+  for (std::uint64_t depth = 0; count > 0; ++depth) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint64_t state = lanes.state[i] + kGamma;
+      const std::uint64_t tag = lanes.tag[i];
+      const auto& n = *std::bit_cast<const HistoryTreeNode*>(lanes.node[i]);
+      const double draw = canonical_unit(mix64(state));
+      const bool won = draw < n.cum_success;
+      const bool collided = draw >= n.cum_no_collision;
+      // Mask selects: GCC compiles the ternaries to branches here.
+      const std::int64_t pick = -static_cast<std::int64_t>(collided);
+      const std::int64_t child = (n.silence & ~pick) | (n.collision & pick);
+      const std::uint64_t path =
+          lanes.path[i] | (std::uint64_t{collided} << depth);
+      // A solving lane writes its row; any other rewrites what is there.
+      const auto trial = static_cast<std::uint32_t>(tag);
+      const std::uint64_t keep = std::uint64_t{won} - 1;
+      solved[trial] = static_cast<std::uint8_t>((solved[trial] & keep) | won);
+      rounds[trial] = (rounds[trial] & keep) | ((depth + 1) & ~keep);
+      const bool inside = child != HistoryTreeNode::kNoChild;
+      lanes.state[kept] = state;
+      lanes.node[kept] = std::bit_cast<std::uint64_t>(trees[tag >> 32]) +
+                         static_cast<std::uint64_t>(child) * sizeof(n);
+      lanes.path[kept] = path;
+      lanes.tag[kept] = tag;
+      kept += !won & inside;
+      exits.state[left] = state;
+      exits.path[left] = path;
+      exits.tag[left] = tag;
+      exits.depth[left] = depth + 1;
+      left += !won & !inside;
+    }
+    count = kept;
+  }
+  return left;
+}
+
 std::uint32_t hi32(double x) {
   return static_cast<std::uint32_t>(std::bit_cast<std::uint64_t>(x) >> 32);
 }
@@ -209,7 +252,7 @@ namespace detail {
 const Ops& scalar_ops() {
   static const Ops ops = {
       &pass1_uniform_scalar, &pass1_uniform_pair_scalar, &map_targets_scalar,
-      &probe_rounds_scalar, &probe_cdf_scalar,
+      &probe_rounds_scalar, &probe_cdf_scalar,  &walk_tree_scalar,
   };
   return ops;
 }

@@ -58,6 +58,10 @@ class SplitMix64 {
     return z ^ (z >> 31);
   }
 
+  /// The state the next draw advances from: SplitMix64(state()) draws
+  /// the same stream from here on.
+  std::uint64_t state() const { return state_; }
+
  private:
   std::uint64_t state_;
 };

@@ -128,7 +128,6 @@ class Parser {
       if (c == '\\') {
         if (eof()) break;
         const char esc = peek();
-        advance();
         switch (esc) {
           case '"': c = '"'; break;
           case '\\': c = '\\'; break;
@@ -136,28 +135,30 @@ class Parser {
           case 'n': c = '\n'; break;
           case 'r': c = '\r'; break;
           case 't': c = '\t'; break;
-          case 'u': {
-            // json_escape emits \u00xx for control characters; accept
-            // any code point that fits one byte, reject anything wider
-            // (no writer produces it).
-            unsigned code = 0;
-            for (int d = 0; d < 4; ++d) {
-              const char hc = peek();
-              if (!std::isxdigit(static_cast<unsigned char>(hc))) {
-                fail("malformed \\u escape in string");
-              }
-              code = code * 16 +
-                     static_cast<unsigned>(hc <= '9'   ? hc - '0'
-                                           : hc <= 'F' ? hc - 'A' + 10
-                                                       : hc - 'a' + 10);
-              advance();
-            }
-            if (code > 0xFF) fail("\\u escape beyond one byte in string");
-            c = static_cast<char>(code);
-            break;
-          }
+          case 'u': break;  // the code point follows the escape byte
           default:
+            // Fail on the escape byte itself, before moving past it.
             fail("unsupported escape \\" + quoted_byte(esc) + " in string");
+        }
+        advance();
+        if (esc == 'u') {
+          // json_escape emits \u00xx for control characters; accept
+          // any code point that fits one byte, reject anything wider
+          // (no writer produces it).
+          unsigned code = 0;
+          for (int d = 0; d < 4; ++d) {
+            const char hc = peek();
+            if (!std::isxdigit(static_cast<unsigned char>(hc))) {
+              fail("malformed \\u escape in string");
+            }
+            code = code * 16 +
+                   static_cast<unsigned>(hc <= '9'   ? hc - '0'
+                                         : hc <= 'F' ? hc - 'A' + 10
+                                                     : hc - 'a' + 10);
+            advance();
+          }
+          if (code > 0xFF) fail("\\u escape beyond one byte in string");
+          c = static_cast<char>(code);
         }
       }
       out.push_back(c);

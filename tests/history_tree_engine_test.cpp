@@ -8,7 +8,9 @@
 //  * the depth-cap / pruned-branch fallback (hybrid walk) and the
 //    node-cap simulation fallback must stay deterministic;
 //  * golden fixed-seed statistics pin the engine's streams so draw-
-//    order changes are caught deliberately.
+//    order changes are caught deliberately; the walk-mode goldens hold
+//    on every kernel tier the host offers, since the walk runs in the
+//    kernel table.
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -23,6 +25,7 @@
 
 #include "baselines/willard.h"
 #include "channel/history_engine.h"
+#include "channel/kernels/kernels.h"
 #include "channel/rng.h"
 #include "harness/exact.h"
 #include "harness/grids.h"
@@ -62,6 +65,21 @@ info::SizeDistribution table1_sizes(std::size_t n) {
       predict::uniform_over_ranges(info::num_ranges(n), 6);
   return predict::lift(condensed, n,
                        predict::RangePlacement::kHighEndpoint);
+}
+
+/// Runs `body` once per kernel tier the host offers, with the kernels
+/// dispatched to that tier, then restores the dispatched tier.
+template <typename Body>
+void for_each_kernel_tier(Body body) {
+  namespace kn = channel::kernels;
+  const kn::Tier dispatched = kn::tier();
+  for (const kn::Tier tier :
+       {kn::Tier::kScalar, kn::Tier::kAvx2, kn::Tier::kAvx512}) {
+    if (!kn::force_tier(tier)) continue;  // absent on this host/build
+    SCOPED_TRACE(std::string("kernel tier ") + kn::tier_name(tier));
+    body();
+  }
+  ASSERT_TRUE(kn::force_tier(dispatched));
 }
 
 /// A constant-probability CD policy (ignores the history).
@@ -440,20 +458,22 @@ TEST(HistoryTreeEngine, WalkHandsTheFullSixtyFourRoundPathToTheFallback) {
   options.depth_cap = 64;
   const HistoryTreeEngine engine(policy, options);
   EXPECT_EQ(engine.tree_for(2, 200).second, HistoryTreeEngine::Mode::kWalk);
-  const std::size_t count = 1025;
-  std::vector<std::uint8_t> solved(count);
-  std::vector<std::uint64_t> rounds(count);
-  channel::TrialBlock block{.seed = 61,
-                            .first_trial = 3,
-                            .max_rounds = 200,
-                            .sizes = {nullptr, 2},
-                            .solved = solved,
-                            .rounds = rounds};
-  engine.run_many(block);
-  for (std::size_t t = 0; t < count; ++t) {
-    ASSERT_EQ(solved[t], 1) << "trial " << t;
-    ASSERT_GT(rounds[t], 64u) << "trial " << t;
-  }
+  for_each_kernel_tier([&] {
+    const std::size_t count = 1025;
+    std::vector<std::uint8_t> solved(count);
+    std::vector<std::uint64_t> rounds(count);
+    channel::TrialBlock block{.seed = 61,
+                              .first_trial = 3,
+                              .max_rounds = 200,
+                              .sizes = {nullptr, 2},
+                              .solved = solved,
+                              .rounds = rounds};
+    engine.run_many(block);
+    for (std::size_t t = 0; t < count; ++t) {
+      ASSERT_EQ(solved[t], 1) << "trial " << t;
+      ASSERT_GT(rounds[t], 64u) << "trial " << t;
+    }
+  });
 }
 
 // ---- walk-mode column goldens ------------------------------------
@@ -523,7 +543,8 @@ void expect_walk_goldens(const HistoryTreeEngine& engine,
   if (!all_match) ADD_FAILURE() << "measured digests:\n" << measured;
 }
 
-TEST(HistoryTreeEngine, WalkColumnsMatchGoldens) {
+/// Every walk-mode golden, on the dispatched kernel tier.
+void expect_every_walk_golden() {
   // Willard under a 4-round depth cap: past the budget of 4 nearly
   // every trial leaves the expansion and continues on the simulation.
   const baselines::WillardPolicy willard(1 << 12);
@@ -591,6 +612,10 @@ TEST(HistoryTreeEngine, WalkColumnsMatchGoldens) {
       {"coded-pruned-drawn", 1 << 14, 0x9ceb3f1074ad0d77ULL},
   };
   expect_walk_goldens(pruned_engine, {&point.actual, 0}, 55, pruned_drawn);
+}
+
+TEST(HistoryTreeEngine, WalkColumnsMatchGoldens) {
+  for_each_kernel_tier(expect_every_walk_golden);
 }
 
 // ---- golden fixed-seed statistics --------------------------------

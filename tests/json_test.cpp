@@ -79,7 +79,7 @@ TEST(JsonReader, NonPrintableBytesAreSpelledInHex) {
                 0),
             0u);
   EXPECT_EQ(rejection("{\"a\": \"\\\v\"}"),
-            "test doc: line 1, column 10: unsupported escape \\\\x0b in "
+            "test doc: line 1, column 9: unsupported escape \\\\x0b in "
             "string (in field \"a\")");
   // Printable bytes still quote as themselves.
   EXPECT_EQ(rejection("{\"a\" 1}"),

@@ -18,7 +18,11 @@
 //  * log1p_neg within 1 ulp of libm's log1p over (-1, 0];
 //  * the probe descents against std::upper_bound / the scalar
 //    search_one on tables with exact ties, single entries, all--inf
-//    padding, and lane counts that do not divide any vector width.
+//    padding, and lane counts that do not divide any vector width;
+//  * the history-tree walk against a one-trial-at-a-time walk — result
+//    columns and every exit's state, path, tag and depth — on lanes
+//    from several trees, a childless root, a 64-level chain, and draws
+//    tied with cum_success and cum_no_collision.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -26,6 +30,7 @@
 #include <limits>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,6 +41,7 @@
 #include "channel/protocol.h"
 #include "channel/rng.h"
 #include "core/likelihood_schedule.h"
+#include "harness/history_tree.h"
 #include "info/distribution.h"
 #include "predict/families.h"
 
@@ -358,6 +364,220 @@ TEST_P(KernelTierTest, ProbeCdfBitwise) {
       tier_ops().probe_cdf(table.view, u.data(), count, got.data());
       scalar_ops().probe_cdf(table.view, u.data(), count, want.data());
       EXPECT_EQ(got, want) << "entries " << entries << " count " << count;
+    }
+  }
+}
+
+// ---- the history-tree walk ----
+
+using harness::HistoryTreeNode;
+constexpr std::int64_t kNoChild = HistoryTreeNode::kNoChild;
+
+/// The first draw of a stream at `state`: what a walk lane standing on
+/// `state` compares against its node.
+double first_draw(std::uint64_t state) {
+  SplitMix64 rng(state);
+  return canonical_unit(rng());
+}
+
+/// The walk's inputs: several trees and `count` lanes spread over them,
+/// with lane j writing result row count - 1 - j (rows are not lane
+/// indices).
+struct WalkCase {
+  std::vector<std::vector<HistoryTreeNode>> trees;
+  std::vector<const HistoryTreeNode*> roots;
+  std::vector<std::uint64_t> state;
+  std::vector<std::uint64_t> tag;
+
+  explicit WalkCase(std::size_t count, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (std::size_t j = 0; j < count; ++j) {
+      state.push_back(rng());
+      tag.push_back((count - 1 - j) | (rng() % 5) << 32);
+    }
+    // Slot 0: a random tree 12 levels deep whose branches end at
+    // random (kNoChild children) and at the bottom level.
+    std::vector<HistoryTreeNode> random_tree;
+    const auto grow = [&](auto&& self, std::size_t depth) -> std::int64_t {
+      const auto index = static_cast<std::int64_t>(random_tree.size());
+      const double success = 0.3 * unit(rng);
+      random_tree.push_back(
+          {success, success + (1.0 - success) * unit(rng), kNoChild,
+           kNoChild});
+      if (depth + 1 < 12) {
+        const bool silence = rng() % 8 != 0;
+        const bool collision = rng() % 8 != 0;
+        if (silence) random_tree[index].silence = self(self, depth + 1);
+        if (collision) random_tree[index].collision = self(self, depth + 1);
+      }
+      return index;
+    };
+    grow(grow, 0);
+    trees.push_back(std::move(random_tree));
+    // Slot 1: a root whose children are both kNoChild.
+    trees.push_back({{0.25, 0.6, kNoChild, kNoChild}});
+    // Slot 2: a 64-level chain that never solves, each level's two
+    // children the next level, so every lane walks to depth 64 and
+    // sets path bit 63 on a collision there.
+    std::vector<HistoryTreeNode> chain(64, {0.0, 0.5, 0, 0});
+    for (std::int64_t d = 0; d < 64; ++d) {
+      chain[d].silence = chain[d].collision = d + 1 < 64 ? d + 1 : kNoChild;
+    }
+    trees.push_back(std::move(chain));
+    // Slots 3 and 4: roots whose cum_success (slot 3) or
+    // cum_no_collision (slot 4) equals the first draw of the first lane
+    // sent there, so that lane's compare is an exact tie.
+    const auto first_lane = [&](std::uint64_t slot) -> std::uint64_t {
+      for (std::size_t j = 0; j < count; ++j) {
+        if (tag[j] >> 32 == slot) return state[j];
+      }
+      return 0;
+    };
+    const double tie_success = first_draw(first_lane(3));
+    trees.push_back({{tie_success, std::nextafter(tie_success, 2.0), 1, 1},
+                     {0.5, 0.75, kNoChild, kNoChild}});
+    const double tie_collision = first_draw(first_lane(4));
+    trees.push_back({{tie_collision / 2, tie_collision, 2, 1},
+                     {1.0, 1.0, kNoChild, kNoChild},
+                     {0.0, 0.0, kNoChild, kNoChild}});
+    for (const auto& tree : trees) roots.push_back(tree.data());
+  }
+};
+
+/// The result of one walk: the solved/rounds columns (rows a walk does
+/// not solve keep their 0xff / ~0 fill) and the exits.
+struct WalkResult {
+  std::vector<std::uint8_t> solved;
+  std::vector<std::uint64_t> rounds;
+  std::vector<std::uint64_t> state, path, tag, depth;
+};
+
+WalkResult run_walk(const Ops& ops, const WalkCase& c) {
+  const std::size_t count = c.state.size();
+  std::vector<std::uint64_t> state = c.state, tag = c.tag;
+  std::vector<std::uint64_t> node, path(count);  // every lane at its root
+  for (const std::uint64_t t : tag) {
+    node.push_back(std::bit_cast<std::uint64_t>(c.roots[t >> 32]));
+  }
+  WalkResult r{std::vector<std::uint8_t>(count, 0xff),
+               std::vector<std::uint64_t>(count, ~std::uint64_t{0}),
+               std::vector<std::uint64_t>(count),
+               std::vector<std::uint64_t>(count),
+               std::vector<std::uint64_t>(count),
+               std::vector<std::uint64_t>(count)};
+  const std::size_t left = ops.walk_tree(
+      c.roots.data(), {state.data(), node.data(), path.data(), tag.data()},
+      count, {r.state.data(), r.path.data(), r.tag.data(), r.depth.data()},
+      r.solved.data(), r.rounds.data());
+  for (auto* column : {&r.state, &r.path, &r.tag, &r.depth}) {
+    column->resize(left);
+  }
+  return r;
+}
+
+/// The walk the kernels batch, one trial at a time: the oracle for
+/// every tier, the scalar one included. Exits come out level by level
+/// and in lane order within a level.
+WalkResult walk_one_by_one(const WalkCase& c) {
+  const std::size_t count = c.state.size();
+  WalkResult r{std::vector<std::uint8_t>(count, 0xff),
+               std::vector<std::uint64_t>(count, ~std::uint64_t{0}),
+               {}, {}, {}, {}};
+  struct Exit {
+    std::uint64_t depth, lane, state, path;
+  };
+  std::vector<Exit> exits;
+  for (std::size_t j = 0; j < count; ++j) {
+    const std::uint64_t slot = c.tag[j] >> 32;
+    const auto row = static_cast<std::uint32_t>(c.tag[j]);
+    SplitMix64 rng(c.state[j]);
+    std::uint64_t path = 0;
+    std::int64_t node = 0;
+    for (std::uint64_t depth = 0;; ++depth) {
+      const HistoryTreeNode& n = c.trees[slot][static_cast<std::size_t>(node)];
+      const double draw = canonical_unit(rng());
+      if (draw < n.cum_success) {
+        r.solved[row] = 1;
+        r.rounds[row] = depth + 1;
+        break;
+      }
+      const bool collided = draw >= n.cum_no_collision;
+      if (collided) path |= std::uint64_t{1} << depth;
+      node = collided ? n.collision : n.silence;
+      if (node == kNoChild) {
+        exits.push_back({depth + 1, j, rng.state(), path});
+        break;
+      }
+    }
+  }
+  std::stable_sort(
+      exits.begin(), exits.end(),
+      [](const Exit& a, const Exit& b) { return a.depth < b.depth; });
+  for (const Exit& e : exits) {
+    r.state.push_back(e.state);
+    r.path.push_back(e.path);
+    r.tag.push_back(c.tag[e.lane]);
+    r.depth.push_back(e.depth);
+  }
+  return r;
+}
+
+void expect_same_walk(const WalkResult& got, const WalkResult& want,
+                      const std::string& label) {
+  EXPECT_EQ(got.solved, want.solved) << label;
+  EXPECT_EQ(got.rounds, want.rounds) << label;
+  EXPECT_EQ(got.state, want.state) << label << " exit states";
+  EXPECT_EQ(got.path, want.path) << label << " exit paths";
+  EXPECT_EQ(got.tag, want.tag) << label << " exit tags";
+  EXPECT_EQ(got.depth, want.depth) << label << " exit depths";
+}
+
+TEST_P(KernelTierTest, WalkTreeMatchesTheOneByOneWalk) {
+  for (const std::size_t count :
+       {0ul, 1ul, 7ul, 8ul, 9ul, 16ul, 17ul, 1023ul, 1025ul}) {
+    const WalkCase c(count, 70 + count);
+    const WalkResult want = walk_one_by_one(c);
+    const std::string label = "count " + std::to_string(count);
+    expect_same_walk(run_walk(tier_ops(), c), want, label);
+    expect_same_walk(run_walk(tier_ops(), c), run_walk(scalar_ops(), c),
+                     label + " vs scalar");
+  }
+}
+
+TEST(KernelWalk, CasesReachTheEdgesTheyAreBuiltFor) {
+  // The walk cases above only pin what they exercise: check that the
+  // 1025-lane case solves and exits on every slot it sets up, walks a
+  // lane to depth 64 with path bit 63 set, and resolves both ties the
+  // way `<` and `>=` do.
+  const WalkCase c(1025, 70 + 1025);
+  const WalkResult r = walk_one_by_one(c);
+  std::vector<std::size_t> exits_per_slot(5, 0);
+  bool bit63 = false;
+  for (std::size_t i = 0; i < r.tag.size(); ++i) {
+    ++exits_per_slot[r.tag[i] >> 32];
+    bit63 |= r.depth[i] == 64 && (r.path[i] >> 63) != 0;
+  }
+  EXPECT_TRUE(bit63);
+  EXPECT_GT(exits_per_slot[0], 0u);  // a random tree's pruned branch
+  EXPECT_GT(exits_per_slot[1], 0u);  // the childless root
+  EXPECT_GT(exits_per_slot[2], 0u);  // the bottom of the chain
+  std::size_t solved = 0;
+  for (const std::uint8_t s : r.solved) solved += s == 1;
+  EXPECT_GT(solved, 0u);
+  EXPECT_EQ(solved + r.tag.size(), c.state.size());
+  for (const std::uint64_t slot : {3u, 4u}) {
+    std::size_t j = 0;
+    while (c.tag[j] >> 32 != slot) ++j;
+    const auto row = static_cast<std::uint32_t>(c.tag[j]);
+    // The cum_success tie takes the silence child, whose cum_success
+    // of 0.5 against the next draw decides; the cum_no_collision tie
+    // takes the collision child, which always solves in round 2.
+    if (slot == 4) {
+      EXPECT_EQ(r.solved[row], 1) << "slot 4";
+      EXPECT_EQ(r.rounds[row], 2u) << "slot 4";
+    } else {
+      EXPECT_NE(r.rounds[row], 1u) << "slot 3";
     }
   }
 }
